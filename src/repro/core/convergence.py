@@ -12,6 +12,7 @@ prediction-error-vs-progress analysis can be replayed from a single run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -100,6 +101,8 @@ class ConvergenceEstimator:
         the fitted curve signal a learning-rate cut; the pre-drop history is
         then discarded and fitting restarts on the new training phase (§7).
         """
+        if not (math.isfinite(step) and math.isfinite(loss)):
+            raise FittingError("loss observations must have a finite step and loss")
         if loss <= 0:
             raise FittingError("loss observations must be positive")
         self._steps.append(float(step))

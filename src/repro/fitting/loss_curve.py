@@ -9,7 +9,9 @@ and fits the coefficients with an NNLS solver. The model is nonlinear in
 it linear: ``y = b0 * k + b1``, an NNLS problem in ``(b0, b1)``. We therefore
 search over ``b2`` (coarse grid + golden-section refinement, scoring
 candidates by the residual in the *original* loss space) and solve NNLS at
-each candidate -- NNLS remains the only solver used, as in the paper.
+each candidate. With two unknowns, an interior NNLS optimum is the
+closed-form least-squares solution; only a boundary optimum (``b0`` or
+``b1`` pinned at zero) is handed to the Lawson–Hanson solver.
 """
 
 from __future__ import annotations
@@ -131,22 +133,35 @@ class LossCurveFit:
 def _nnls_for_beta2(
     steps: np.ndarray, losses: np.ndarray, beta2: float
 ) -> Optional[Tuple[float, float, float]]:
-    """NNLS solve of ``1/(l - b2) = b0*k + b1``; returns (b0, b1, rmse)."""
+    """NNLS solve of ``1/(l - b2) = b0*k + b1``; returns (b0, b1, rmse).
+
+    With two unknowns the unconstrained least-squares optimum has a closed
+    form (centred normal equations). When both coefficients come out
+    non-negative it *is* the NNLS optimum; only a boundary solution (one
+    coefficient pinned at zero) needs the Lawson–Hanson active-set solver.
+    """
     shifted = losses - beta2
-    if np.any(shifted <= 1e-9):
+    if shifted.min() <= 1e-9:
         return None
     y = 1.0 / shifted
-    design = np.column_stack([steps, np.ones_like(steps)])
-    try:
-        coeffs, _ = nnls(design, y)
-    except FittingError:
-        return None
-    beta0, beta1 = float(coeffs[0]), float(coeffs[1])
+    n = len(steps)
+    k_mean = float(steps.sum()) / n
+    centred = steps - k_mean
+    spread = float(centred @ centred)
+    beta0 = float(centred @ y) / spread if spread > 0 else math.nan
+    beta1 = float(y.sum()) / n - beta0 * k_mean
+    if not (beta0 >= 0 and beta1 >= 0):
+        design = np.column_stack([steps, np.ones_like(steps)])
+        try:
+            coeffs, _ = nnls(design, y)
+        except FittingError:
+            return None
+        beta0, beta1 = float(coeffs[0]), float(coeffs[1])
     denom = beta0 * steps + beta1
-    if np.any(denom <= 1e-12):
+    if denom.min() <= 1e-12:
         return None
     predicted = 1.0 / denom + beta2
-    rmse = float(np.sqrt(np.mean((predicted - losses) ** 2)))
+    rmse = math.sqrt(float(((predicted - losses) ** 2).sum()) / n)
     return beta0, beta1, rmse
 
 
@@ -173,8 +188,9 @@ def fit_loss_curve(
     Raises
     ------
     FittingError
-        With fewer than :data:`MIN_POINTS` observations or when no
-        admissible ``b2`` yields a solvable NNLS problem.
+        With fewer than :data:`MIN_POINTS` observations, a non-finite step
+        or loss, or when no admissible ``b2`` yields a solvable NNLS
+        problem.
     """
     if len(steps) != len(losses):
         raise FittingError("steps and losses must have equal length")
@@ -182,12 +198,16 @@ def fit_loss_curve(
         raise FittingError(
             f"need at least {MIN_POINTS} points to fit, got {len(steps)}"
         )
+    steps = np.asarray(steps, dtype=float)
+    losses = np.asarray(losses, dtype=float)
+    if not (np.isfinite(steps).all() and np.isfinite(losses).all()):
+        raise FittingError("steps and losses must be finite")
     if preprocess:
         k, vals, scale = preprocess_losses(steps, losses)
     else:
-        order = np.argsort(np.asarray(steps, dtype=float))
-        k = np.asarray(steps, dtype=float)[order]
-        vals = np.asarray(losses, dtype=float)[order]
+        order = np.argsort(steps)
+        k = steps[order]
+        vals = losses[order]
         scale = 1.0
     if np.any(vals <= 0):
         raise FittingError("losses must be positive")

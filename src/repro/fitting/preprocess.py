@@ -40,21 +40,29 @@ def remove_outliers(
         raise FittingError("window must be >= 1")
     if margin < 0:
         raise FittingError("margin must be non-negative")
-    data = [float(v) for v in values]
+    data = np.asarray(values, dtype=float)
     n = len(data)
     if n <= 2:
-        return data
+        return data.tolist()
 
-    cleaned = list(data)
-    for i in range(n):
-        prev_window = data[max(0, i - window) : i]
-        next_window = data[i + 1 : i + 1 + window]
-        if not prev_window or not next_window:
-            continue  # boundary points keep their value
-        upper = max(prev_window) * (1.0 + margin)
-        lower = min(next_window) * (1.0 - margin)
-        if data[i] > upper or data[i] < lower:
-            cleaned[i] = float(np.mean(prev_window + next_window))
+    # Row i of ``windows`` is padded[i : i + window]: the previous window of
+    # point i, and at offset ``window + 1`` its next window. NaN padding
+    # drops out of fmax/fmin, so a truncated window reduces over what exists.
+    padding = np.full(window, np.nan)
+    padded = np.concatenate([padding, data, padding])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    prev_max = np.fmax.reduce(windows[:n], axis=1)
+    next_min = np.fmin.reduce(windows[window + 1 :], axis=1)
+    upper = prev_max * (1.0 + margin)
+    lower = next_min * (1.0 - margin)
+    flagged = (data > upper) | (data < lower)
+    flagged[0] = flagged[-1] = False  # boundary points keep their value
+
+    raw = data.tolist()
+    cleaned = list(raw)
+    for i in np.flatnonzero(flagged):
+        neighbours = raw[max(0, i - window) : i] + raw[i + 1 : i + 1 + window]
+        cleaned[i] = float(np.mean(neighbours))
     return cleaned
 
 
@@ -89,7 +97,7 @@ def preprocess_losses(
         raise FittingError("no data points")
     order = np.argsort(np.asarray(steps, dtype=float))
     sorted_steps = np.asarray(steps, dtype=float)[order]
-    sorted_losses = [float(np.asarray(losses, dtype=float)[i]) for i in order]
+    sorted_losses = np.asarray(losses, dtype=float)[order]
     cleaned = remove_outliers(sorted_losses, window=window, margin=margin)
     normalised, scale = normalize(cleaned)
     return sorted_steps, np.asarray(normalised), scale

@@ -1,5 +1,7 @@
 """Tests for the online convergence estimator (§3.1)."""
 
+import math
+
 import pytest
 
 from repro.common.errors import FittingError
@@ -38,6 +40,20 @@ class TestDataCollection:
         *_, estimator = setup
         with pytest.raises(FittingError):
             estimator.add_observation(1, 0.0)
+
+    @pytest.mark.parametrize(
+        "step, loss",
+        [(1, math.nan), (1, math.inf), (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0)],
+    )
+    def test_non_finite_observation_rejected(self, setup, step, loss):
+        _, spe, emitter, estimator = setup
+        feed(estimator, emitter, 0, 2, spe)
+        count = estimator.observation_count
+        with pytest.raises(FittingError, match="finite"):
+            estimator.add_observation(step, loss)
+        # The rejected point left the history alone: fitting still works.
+        assert estimator.observation_count == count
+        assert estimator.fit(force=True).residual < 0.05
 
 
 class TestFitting:

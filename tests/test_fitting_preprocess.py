@@ -1,5 +1,6 @@
 """Tests for the §3.1 preprocessing pipeline."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +56,91 @@ class TestRemoveOutliers:
         assert len(cleaned) == len(values)
         assert min(cleaned) >= min(values) - 1e-9
         assert max(cleaned) <= max(values) + 1e-9
+
+
+def reference_remove_outliers(values, window=5, margin=0.05):
+    """The original point-by-point loop, kept as the reference."""
+    data = [float(v) for v in values]
+    n = len(data)
+    if n <= 2:
+        return data
+    cleaned = list(data)
+    for i in range(n):
+        prev_window = data[max(0, i - window) : i]
+        next_window = data[i + 1 : i + 1 + window]
+        if not prev_window or not next_window:
+            continue
+        upper = max(prev_window) * (1.0 + margin)
+        lower = min(next_window) * (1.0 - margin)
+        if data[i] > upper or data[i] < lower:
+            cleaned[i] = float(np.mean(prev_window + next_window))
+    return cleaned
+
+
+def reference_preprocess_losses(steps, losses, window=5, margin=0.05):
+    order = np.argsort(np.asarray(steps, dtype=float))
+    sorted_steps = np.asarray(steps, dtype=float)[order]
+    sorted_losses = [float(np.asarray(losses, dtype=float)[i]) for i in order]
+    cleaned = reference_remove_outliers(sorted_losses, window=window, margin=margin)
+    normalised, scale = normalize(cleaned)
+    return sorted_steps, np.asarray(normalised), scale
+
+
+@st.composite
+def loss_sequences(draw, min_size=0, max_size=60):
+    """Noisy decaying losses with injected spikes, dips and runs of equal values."""
+    n = draw(st.integers(min_size, max_size))
+    values = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    values.sort(reverse=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 4))):
+        if not values:
+            break
+        i = draw(st.integers(0, len(values) - 1))
+        action = draw(st.sampled_from(["spike", "dip", "run"]))
+        if action == "spike":
+            values[i] *= draw(st.floats(1.5, 50.0))
+        elif action == "dip":
+            values[i] /= draw(st.floats(1.5, 50.0))
+        else:
+            run = draw(st.integers(2, 8))
+            values[i : i + run] = [values[i]] * len(values[i : i + run])
+    return values
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=loss_sequences(),
+        window=st.integers(1, 6),
+        margin=st.sampled_from([0.0, 0.05, 0.2]),
+    )
+    def test_remove_outliers_bit_identical(self, values, window, margin):
+        got = remove_outliers(values, window=window, margin=margin)
+        assert isinstance(got, list)
+        assert bits(got) == bits(reference_remove_outliers(values, window, margin))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=loss_sequences(min_size=1),
+        window=st.integers(1, 6),
+        margin=st.sampled_from([0.0, 0.05, 0.2]),
+        data=st.data(),
+    )
+    def test_preprocess_losses_bit_identical(self, values, window, margin, data):
+        steps = data.draw(
+            st.lists(
+                st.integers(0, 10_000), min_size=len(values), max_size=len(values), unique=True
+            )
+        )
+        got = preprocess_losses(steps, values, window=window, margin=margin)
+        want = reference_preprocess_losses(steps, values, window=window, margin=margin)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+        assert float(got[2]).hex() == float(want[2]).hex()
 
 
 class TestNormalize:
