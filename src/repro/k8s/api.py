@@ -6,11 +6,16 @@ in etcd; the API server is a thin validating layer on top, with the node
 capacity accounting a real apiserver+scheduler would enforce at binding
 time. The Optimus deployment polls this API for cluster information and job
 states, as described in §5.5.
+
+Polling is the deploy loop's hot path, so reads decode only what changed:
+the server remembers the last payload read under each key together with
+the fields decoded from it, and every read still goes to the store and
+compares payloads, so writes from anywhere show up on the next read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar
 
 from repro.cluster.resources import ResourceVector
 from repro.common.errors import KVStoreError
@@ -29,6 +34,21 @@ POD_PREFIX = "/pods/"
 #: disappearing (its lease expired) is what the health sweep keys off.
 HEARTBEAT_PREFIX = "/heartbeats/"
 
+_T = TypeVar("_T", PodSpec, NodeInfo)
+#: store key -> (payload last read under it, the fields decoded from it)
+_Memo = Dict[str, Tuple[str, Dict[str, Any]]]
+
+
+def _build(cls: Type[_T], fields: Dict[str, Any]) -> _T:
+    """A fresh object with already-validated *fields*.
+
+    Every field is an immutable value (``ResourceVector`` included), so
+    the copy can share them while callers mutate the object they get.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
 
 class APIServer:
     """Validated CRUD over nodes and pods, backed by a KVStore."""
@@ -38,6 +58,21 @@ class APIServer:
         # defines __len__), replacing e.g. a fresh RetryingKVStore wrapper
         # with an unwrapped one.
         self.store = store if store is not None else KVStore()
+        self._pods: _Memo = {}
+        self._nodes: _Memo = {}
+
+    @staticmethod
+    def _decode(memo: _Memo, key: str, payload: str, cls: Type[_T]) -> Dict[str, Any]:
+        """The fields of *payload*, read under *key*.
+
+        The payload is decoded only when it differs from the one *memo*
+        holds for the key. The returned dict is the remembered one: build
+        objects from it with :func:`_build`, never mutate it.
+        """
+        entry = memo.get(key)
+        if entry is None or entry[0] != payload:
+            entry = memo[key] = (payload, vars(cls.from_json(payload)))
+        return entry[1]
 
     def fence_writes(self, election) -> None:
         """Guard every write through this server with a leadership check.
@@ -210,19 +245,25 @@ class APIServer:
         return self.store.delete(NODE_PREFIX + name)
 
     def node(self, name: str) -> NodeInfo:
-        payload = self.store.get(NODE_PREFIX + name)
+        key = NODE_PREFIX + name
+        payload = self.store.get(key)
         if payload is None:
             raise KVStoreError(f"unknown node {name!r}")
-        return NodeInfo.from_json(payload)
+        return _build(NodeInfo, self._decode(self._nodes, key, payload, NodeInfo))
 
     def list_nodes(self, include_cordoned: bool = True) -> List[NodeInfo]:
+        listing = self.store.list_prefix(NODE_PREFIX)
         nodes = [
-            NodeInfo.from_json(payload)
-            for payload in self.store.list_prefix(NODE_PREFIX).values()
+            self._decode(self._nodes, key, payload, NodeInfo)
+            for key, payload in listing.items()
         ]
-        if not include_cordoned:
-            nodes = [node for node in nodes if not node.cordoned]
-        return nodes
+        if len(self._nodes) > len(listing):  # forget keys no longer listed
+            self._nodes = {key: self._nodes[key] for key in listing}
+        return [
+            _build(NodeInfo, node)
+            for node in nodes
+            if include_cordoned or not node["cordoned"]
+        ]
 
     def _save_node(self, node: NodeInfo) -> None:
         self.store.put(NODE_PREFIX + node.name, node.to_json())
@@ -238,23 +279,28 @@ class APIServer:
         return pod
 
     def pod(self, name: str) -> PodSpec:
-        payload = self.store.get(POD_PREFIX + name)
+        key = POD_PREFIX + name
+        payload = self.store.get(key)
         if payload is None:
             raise KVStoreError(f"unknown pod {name!r}")
-        return PodSpec.from_json(payload)
+        return _build(PodSpec, self._decode(self._pods, key, payload, PodSpec))
 
     def list_pods(
         self, job_id: Optional[str] = None, node: Optional[str] = None
     ) -> List[PodSpec]:
+        listing = self.store.list_prefix(POD_PREFIX)
         pods = [
-            PodSpec.from_json(payload)
-            for payload in self.store.list_prefix(POD_PREFIX).values()
+            self._decode(self._pods, key, payload, PodSpec)
+            for key, payload in listing.items()
         ]
-        if job_id is not None:
-            pods = [p for p in pods if p.job_id == job_id]
-        if node is not None:
-            pods = [p for p in pods if p.node == node]
-        return pods
+        if len(self._pods) > len(listing):  # forget keys no longer listed
+            self._pods = {key: self._pods[key] for key in listing}
+        return [
+            _build(PodSpec, pod)
+            for pod in pods
+            if (job_id is None or pod["job_id"] == job_id)
+            and (node is None or pod["node"] == node)
+        ]
 
     def bind_pod(self, pod_name: str, node_name: str) -> PodSpec:
         """Bind a pending pod to a node, enforcing capacity."""
@@ -291,11 +337,14 @@ class APIServer:
         payload = self.store.get(key)
         if payload is None:
             return False
-        pod = PodSpec.from_json(payload)
+        pod = _build(PodSpec, self._decode(self._pods, key, payload, PodSpec))
         if pod.bound:
-            node_payload = self.store.get(NODE_PREFIX + pod.node)
+            node_key = NODE_PREFIX + pod.node
+            node_payload = self.store.get(node_key)
             if node_payload is not None:
-                node = NodeInfo.from_json(node_payload)
+                node = _build(
+                    NodeInfo, self._decode(self._nodes, node_key, node_payload, NodeInfo)
+                )
                 node.allocated = node.allocated - pod.demand
                 self._save_node(node)
         return self.store.delete(key)

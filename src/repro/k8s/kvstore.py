@@ -14,6 +14,8 @@ deploy loop's step index.
 from __future__ import annotations
 
 import fnmatch
+import sys
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -31,6 +33,16 @@ class KVEvent:
 
 
 WatchCallback = Callable[[KVEvent], None]
+
+
+def _prefix_successor(prefix: str) -> Optional[str]:
+    """The least string greater than every string starting with *prefix*.
+
+    Trailing U+10FFFF characters cannot be incremented and are dropped;
+    ``None`` means no bound (every key from *prefix* on matches).
+    """
+    stem = prefix.rstrip(chr(sys.maxunicode))
+    return stem[:-1] + chr(ord(stem[-1]) + 1) if stem else None
 
 
 @dataclass
@@ -55,6 +67,10 @@ class KVStore:
 
     def __init__(self):
         self._data: Dict[str, Tuple[str, int]] = {}  # key -> (value, mod_rev)
+        #: Every key of ``_data``, sorted: prefix listings bisect into it.
+        self._sorted_keys: List[str] = []
+        #: key -> id of the lease it is attached to (reverse of Lease.keys).
+        self._key_lease: Dict[str, int] = {}
         self._revision = 0
         self._watchers: List[Tuple[int, str, WatchCallback]] = []
         self._watch_id = 0
@@ -80,6 +96,9 @@ class KVStore:
         self._detach_key(key)
         if target is not None:
             target.keys.add(key)
+            self._key_lease[key] = lease
+        if key not in self._data:
+            insort(self._sorted_keys, key)
         self._revision += 1
         self._data[key] = (str(value), self._revision)
         self._notify(KVEvent("put", key, str(value), self._revision))
@@ -100,6 +119,7 @@ class KVStore:
         if key not in self._data:
             return False
         self._detach_key(key)
+        del self._sorted_keys[bisect_left(self._sorted_keys, key)]
         self._revision += 1
         del self._data[key]
         self._notify(KVEvent("delete", key, None, self._revision))
@@ -127,16 +147,20 @@ class KVStore:
 
     # -- queries ------------------------------------------------------------------
     def list_prefix(self, prefix: str) -> Dict[str, str]:
-        """All key/value pairs whose key starts with *prefix*."""
-        return {
-            key: value
-            for key, (value, _) in sorted(self._data.items())
-            if key.startswith(prefix)
-        }
+        """All key/value pairs whose key starts with *prefix*, in key order.
+
+        Keys sharing a prefix are contiguous in sorted order, between the
+        prefix itself and its successor: two bisections, O(log n + k).
+        """
+        keys, data = self._sorted_keys, self._data
+        lo = bisect_left(keys, prefix)
+        end = _prefix_successor(prefix)
+        hi = len(keys) if end is None else bisect_left(keys, end, lo)
+        return {key: data[key][0] for key in keys[lo:hi]}
 
     def keys(self, pattern: str = "*") -> List[str]:
         """Keys matching a glob *pattern*, sorted."""
-        return sorted(k for k in self._data if fnmatch.fnmatch(k, pattern))
+        return [k for k in self._sorted_keys if fnmatch.fnmatch(k, pattern)]
 
     def __len__(self) -> int:
         return len(self._data)
@@ -224,7 +248,11 @@ class KVStore:
         return lease
 
     def _detach_key(self, key: str) -> None:
-        for lease in self._leases.values():
+        # The key's lease may be gone already (revoked or expired while
+        # its keys are being dropped); ids are never reused, so a stale
+        # entry can only miss.
+        lease = self._leases.get(self._key_lease.pop(key, None))
+        if lease is not None:
             lease.keys.discard(key)
 
     def _drop_lease_keys(self, lease: Lease) -> List[str]:

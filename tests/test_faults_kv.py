@@ -1,5 +1,6 @@
 """Tests for FlakyKVStore (injection) and RetryingKVStore (recovery)."""
 
+import inspect
 import os
 
 import pytest
@@ -10,6 +11,8 @@ from repro.common.rand import RandomSource
 from repro.common.retry import RetryPolicy
 from repro.faults import FlakyKVStore, RetryingKVStore
 from repro.k8s import APIServer, PodSpec, pod_name
+from repro.k8s.api import NODE_PREFIX
+from repro.k8s.election import LEADER_KEY, FencedKVStore, LeaderElection
 from repro.k8s.kvstore import KVStore
 from repro.obs import MetricsRegistry, RecordingTracer
 
@@ -158,3 +161,70 @@ class TestRetryingKVStore:
         assert store.revision == inner.revision
         assert store.compare_and_swap("a", "1", "2")
         assert store.delete("a")
+
+
+#: Every public KVStore method (plus the two dunders callers rely on).
+KVSTORE_METHODS = sorted(
+    name
+    for name, value in vars(KVStore).items()
+    if inspect.isfunction(value)
+    and (not name.startswith("_") or name in ("__len__", "__contains__"))
+)
+
+
+class TestWrapperInterfaceParity:
+    """A wrapper that drifts from the KVStore interface fails here, not in a drill."""
+
+    @pytest.mark.parametrize("wrapper", [FlakyKVStore, RetryingKVStore, FencedKVStore])
+    def test_every_kvstore_method_with_the_same_parameters(self, wrapper):
+        for name in KVSTORE_METHODS:
+            assert hasattr(wrapper, name), f"{wrapper.__name__} lacks {name}"
+            expected = list(inspect.signature(getattr(KVStore, name)).parameters)
+            actual = list(inspect.signature(getattr(wrapper, name)).parameters)
+            assert actual == expected, f"{wrapper.__name__}.{name}"
+        assert isinstance(vars(wrapper)["revision"], property)
+
+
+class TestLeasedWrapperPaths:
+    def test_campaign_over_retrying_flaky_store(self):
+        flaky = FlakyKVStore(KVStore(), error_rate=0.2, seed=RandomSource(CHAOS_SEED))
+        store = RetryingKVStore(flaky, policy=RetryPolicy(max_attempts=12))
+        election = LeaderElection(store, "a", ttl=3.0)
+        assert election.campaign(0.0) == 1
+        assert election.is_leader(1.0)
+        # The leader key went in under the candidate's lease via CAS.
+        assert store.lease_keys(election._lease_id) == [LEADER_KEY]
+        store.expire_leases(3.0)
+        assert store.get(LEADER_KEY) is None
+        assert LeaderElection(store, "b", ttl=3.0).campaign(3.0) == 2
+
+    def test_leased_cas_draws_one_failure_like_before(self):
+        flaky = FlakyKVStore(KVStore(), error_rate=1.0)
+        lease = flaky.inner.grant_lease(5.0)
+        with pytest.raises(TransientKVError):
+            flaky.compare_and_swap("k", None, "v", lease=lease)
+        assert flaky.failures_injected == 1
+        assert flaky.inner.get("k") is None
+        flaky.error_rate = 0.0
+        assert flaky.compare_and_swap("k", None, "v", lease=lease)
+        assert flaky.inner.lease_keys(lease) == ["k"]
+
+    def test_lease_ttl_is_reliable_and_draws_nothing(self):
+        flaky = FlakyKVStore(KVStore(), error_rate=1.0)
+        lease = flaky.inner.grant_lease(4.0, now=1.0)
+        store = RetryingKVStore(flaky)
+        assert flaky.lease_ttl(lease) == store.lease_ttl(lease) == 4.0
+        assert flaky.failures_injected == 0
+
+    def test_heartbeat_regrants_a_pre_regrant_record_over_wrappers(self):
+        flaky = FlakyKVStore(KVStore(), error_rate=0.0)
+        api = APIServer(store=RetryingKVStore(flaky))
+        node = api.register_node("n0", cpu_mem(16, 64), lease_ttl=2.0, now=0.0)
+        # A record written before nodes remembered their lease ttl.
+        node.lease_ttl = None
+        flaky.inner.put(NODE_PREFIX + "n0", node.to_json())
+        # Lapsed but not yet swept: the ttl comes from the store's lease.
+        revived = api.heartbeat_node("n0", 2.5)
+        assert revived.lease_id != node.lease_id
+        assert revived.lease_ttl == 2.0
+        assert not flaky.inner.has_lease(node.lease_id)
