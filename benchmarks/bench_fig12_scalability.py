@@ -11,10 +11,10 @@ This bench has two parts:
   per job are capped at 28, so the largest point handles ~50k tasks; the
   paper's 100k-task point used a ps:worker grid we cap lower to keep the
   bench under a minute.
-* :func:`run_scale_scenario` runs a *full simulation* on the event-driven
-  engine at datacenter scale (thousands of GPUs, thousands of jobs) and
-  writes a ``BENCH_scale.json`` report that CI's ``benchmark-scale`` job
-  gates against a committed baseline. Run it directly::
+* :func:`run_scale_scenario` runs a *full simulation* at datacenter scale
+  (thousands of GPUs, thousands of jobs) and writes a ``BENCH_scale.json``
+  report that CI's ``benchmark-scale`` job gates against a committed
+  baseline. Run it directly::
 
       python benchmarks/bench_fig12_scalability.py --gpus 1000 --jobs 2000 \\
           --output BENCH_scale.json
@@ -83,14 +83,14 @@ def run_sweep():
     }
 
 
-# -- full-simulation scale scenario (event engine) ---------------------------
+# -- full-simulation scale scenario -------------------------------------------
 
 GPUS_PER_NODE = 4
 NODE_SHAPE = ResourceVector({"cpu": 16, "memory": 80, "gpu": GPUS_PER_NODE})
 SCALE_WORKER_DEMAND = ResourceVector({"cpu": 2, "memory": 4, "gpu": 1})
 SCALE_PS_DEMAND = ResourceVector({"cpu": 1, "memory": 2})
 #: Fast-converging Table-1 models, so the scenario measures the scheduler
-#: and engine rather than week-long training tails.
+#: and simulator rather than week-long training tails.
 SCALE_MODELS = ("cnn-rand", "dssm", "kaggle-ndsb")
 
 
@@ -116,9 +116,9 @@ def build_scale_workload(num_jobs, window):
 def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
     """Simulate *num_jobs* jobs on a *num_gpus*-GPU cluster, end to end.
 
-    Runs the event-driven engine with oracle estimators (so loss-curve
-    fitting does not drown out the engine/allocator/placement cost being
-    measured) and the placement cache on. Returns the ``BENCH_scale.json``
+    Runs the simulator with oracle estimators (so loss-curve fitting does
+    not drown out the loop/allocator/placement cost being measured).
+    Returns the ``BENCH_scale.json``
     report dict; every numeric field is regression-gated by CI through
     ``benchmarks/check_regression.py``.
     """
@@ -142,11 +142,9 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
     )
     workload = build_scale_workload(num_jobs, window)
     registry = MetricsRegistry()
-    # Cost-aware rescaling (§7) keeps allocations stable between intervals,
-    # which is what lets the placement cache replay layouts.
-    scheduler = make_scheduler(
-        "optimus", placement_cache=True, rescale_threshold=1.0
-    )
+    # Cost-aware rescaling (§7): a running job only rescales when the move
+    # pays for its checkpoint/restart cost, as a production fleet would run.
+    scheduler = make_scheduler("optimus", rescale_threshold=1.0)
     start = time.perf_counter()
     result = simulate(
         Cluster.homogeneous(nodes, NODE_SHAPE),
@@ -154,35 +152,32 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
         workload,
         config,
         metrics=registry,
-        engine="event",
     )
     wall = time.perf_counter() - start
 
     counters = registry.snapshot()["counters"]
-    events = counters.get("sim.events_processed", 0.0)
-    cache = scheduler.placement_cache
+    intervals = counters.get("engine.intervals", 0.0)
+    completed = counters.get("engine.jobs_completed", 0.0)
     return {
         "gpus": num_gpus,
         "jobs": num_jobs,
         "wall_seconds": round(wall, 4),
-        "events_processed": int(events),
-        "events_per_second": round(events / wall, 2) if wall > 0 else 0.0,
-        "schedule_events": int(counters.get("sim.events_schedule", 0.0)),
-        "jobs_completed": int(counters.get("engine.jobs_completed", 0.0)),
+        "intervals_per_second": round(intervals / wall, 2) if wall > 0 else 0.0,
+        "jobs_per_second": round(completed / wall, 2) if wall > 0 else 0.0,
+        "jobs_completed": int(completed),
         "allocate_p95_ms": round(
             1000.0 * registry.histogram("phase.allocate").quantile(0.95), 4
         ),
         "place_p95_ms": round(
             1000.0 * registry.histogram("phase.place").quantile(0.95), 4
         ),
-        "placement_cache_hits": int(cache.hits if cache else 0),
         "average_jct_seconds": round(result.average_jct, 2),
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Run the full-simulation scale scenario (event engine)."
+        description="Run the full-simulation scale scenario."
     )
     parser.add_argument("--gpus", type=int, default=5_000)
     parser.add_argument("--jobs", type=int, default=10_000)

@@ -19,7 +19,6 @@ from repro.core.allocation import (
 from repro.core.convergence import ConvergenceEstimator, ConvergencePrediction
 from repro.core.placement import (
     JobLayout,
-    PlacementCache,
     PlacementRequest,
     PlacementResult,
     place_jobs,
@@ -38,7 +37,6 @@ __all__ = [
     "TaskAllocation",
     "allocate",
     "estimated_time",
-    "PlacementCache",
     "PlacementRequest",
     "PlacementResult",
     "JobLayout",

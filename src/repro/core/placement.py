@@ -66,85 +66,6 @@ class PlacementResult:
         return len(self.layouts.get(job_id, {}))
 
 
-#: Cache key: the placement-relevant fingerprint of one request.
-_CacheKey = Tuple[int, int, ResourceVector, ResourceVector]
-
-
-class PlacementCache:
-    """Memo of layouts for jobs whose allocation did not change (§4.2).
-
-    Between scheduling points most jobs keep their task counts, so their
-    Theorem-1 layouts can be replayed instead of re-derived. A cached
-    layout is only trusted after re-validation against the live cluster
-    (every server must still exist and fit the job's share), and the whole
-    cache is dropped on node cordon/crash/recovery events from the faults
-    layer -- a changed server set shifts the most-available-first ranking
-    that fresh placement would see.
-
-    The cache changes placement *outcomes* (a replayed layout occupies
-    servers that fresh placement might have assigned differently), so it is
-    strictly opt-in: schedulers only consult it when explicitly constructed
-    with one.
-    """
-
-    def __init__(self) -> None:
-        self._layouts: Dict[str, Tuple[_CacheKey, JobLayout]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    @staticmethod
-    def _key(request: "PlacementRequest") -> _CacheKey:
-        return (
-            request.workers,
-            request.ps,
-            request.worker_demand,
-            request.ps_demand,
-        )
-
-    def __len__(self) -> int:
-        return len(self._layouts)
-
-    def lookup(self, request: "PlacementRequest") -> Optional[JobLayout]:
-        """The cached layout for *request*, or ``None`` on a changed allocation."""
-        entry = self._layouts.get(request.job_id)
-        if entry is None or entry[0] != self._key(request):
-            return None
-        return entry[1]
-
-    def store(self, request: "PlacementRequest", layout: JobLayout) -> None:
-        self._layouts[request.job_id] = (self._key(request), dict(layout))
-
-    def forget_job(self, job_id: str) -> None:
-        self._layouts.pop(job_id, None)
-
-    def invalidate_all(self) -> None:
-        """Drop every entry (node failed/recovered: the server set changed)."""
-        if self._layouts:
-            self.invalidations += len(self._layouts)
-            self._layouts.clear()
-
-    def validate(self, cluster: Cluster, request: "PlacementRequest",
-                 layout: JobLayout) -> bool:
-        """True when *layout* can be replayed onto *cluster* right now."""
-        demand_cache: Dict[Tuple[int, int], ResourceVector] = {}
-        for server_name, counts in layout.items():
-            try:
-                server = cluster.server(server_name)
-            except Exception:
-                return False
-            demand = demand_cache.get(counts)
-            if demand is None:
-                n_workers, n_ps = counts
-                demand = (
-                    request.worker_demand * n_workers + request.ps_demand * n_ps
-                )
-                demand_cache[counts] = demand
-            if not server.can_fit(demand):
-                return False
-        return True
-
-
 def split_evenly(count: int, buckets: int) -> List[int]:
     """Spread *count* items over *buckets* as evenly as possible.
 

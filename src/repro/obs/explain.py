@@ -8,7 +8,7 @@ writes (plus the outcome events that were already on the stream):
   human-readable timeline with reasons and runner-up gaps. This is the
   ``repro explain`` subcommand.
 * :func:`trace_diff` -- "why is OASiS 12% worse on seed 42?": aligns two
-  runs of the same workload (different policy/seed/engine), finds the
+  runs of the same workload (different policy or seed), finds the
   *first divergent decision* per job and attributes each job's JCT delta
   to it. This is ``repro trace diff A B`` and the arena's
   divergence-attribution report.
@@ -88,8 +88,7 @@ def describe_decision(event: Dict) -> str:
         provenance = event.get("provenance", "?")
         servers = event.get("servers", "?")
         spill = ", cross-server spill" if event.get("spill") else ""
-        verb = "cache replay" if provenance == "cache" else "fresh placement"
-        return f"{verb} on {servers} server(s){spill}"
+        return f"{provenance} placement on {servers} server(s){spill}"
     if kind == "shrink":
         req = event.get("requested", ["?", "?"])
         got = event.get("granted", ["?", "?"])

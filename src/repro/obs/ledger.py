@@ -22,9 +22,9 @@ Record kinds (the ``kind`` field of every ``decision`` event):
   gain went non-positive -- it yielded the auction voluntarily), or
   ``price_rejected`` (the OASiS primal-dual auction priced the job out:
   bundles fit, but no candidate's utility beat its priced cost).
-* ``placement`` -- provenance of a job's layout: ``cache`` (replayed by
-  the :class:`~repro.core.placement.PlacementCache`) or ``fresh``, plus
-  whether the layout spills across servers.
+* ``placement`` -- a job's layout: its ``provenance`` (``fresh``: every
+  layout is derived anew each interval; older traces may also carry
+  ``cache``), its server count, and whether it spills across servers.
 * ``shrink`` -- the placement shrink-retry loop cut an unplaceable
   allocation down until it fit.
 
@@ -201,7 +201,7 @@ class DecisionLedger:
     def record_placement(
         self, job_id: str, provenance: str, servers: int
     ) -> None:
-        """Where a job's layout came from: ``cache`` replay or ``fresh``."""
+        """Record a job's layout: its provenance and server count."""
         self.metrics.counter(f"decision.placement.{provenance}").inc()
         spill = servers > 1
         if spill:

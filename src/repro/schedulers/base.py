@@ -190,18 +190,5 @@ class Scheduler(abc.ABC):
         freely while building their placement.
         """
 
-    def notify_node_events(
-        self,
-        failed: Sequence[str] = (),
-        recovered: Sequence[str] = (),
-    ) -> None:
-        """Hook: node crash/cordon/recovery events from the faults layer.
-
-        The engine calls this before scheduling whenever the server set
-        changed. The default is a no-op; schedulers holding cluster-shaped
-        state (e.g. a :class:`~repro.core.placement.PlacementCache`) use it
-        to invalidate.
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

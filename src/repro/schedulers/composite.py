@@ -12,12 +12,7 @@ from typing import Dict, Optional, Sequence
 from repro.cluster.cluster import Cluster
 from repro.common.errors import SchedulingError
 from repro.core.allocation import TaskAllocation
-from repro.core.placement import (
-    JobLayout,
-    PlacementCache,
-    PlacementRequest,
-    _apply_layout,
-)
+from repro.core.placement import JobLayout, PlacementRequest
 from repro.obs.ledger import active_ledger
 from repro.schedulers.base import JobView, Scheduler, SchedulingDecision
 from repro.schedulers.policies import ALLOCATION_POLICIES, PLACEMENT_POLICIES  # noqa: F401
@@ -41,13 +36,6 @@ class CompositeScheduler(Scheduler):
     allocation_kwargs:
         Extra keyword arguments forwarded to the allocation policy (e.g.
         ``priority_factor`` for Optimus).
-    placement_cache:
-        Opt-in layout memo (see :class:`~repro.core.placement.PlacementCache`):
-        jobs whose allocation did not change between scheduling points
-        replay their previous layout (after re-validation against the live
-        cluster) instead of re-deriving it. Node crash/recovery events
-        reported through :meth:`notify_node_events` drop the cache. Off by
-        default because replayed layouts can differ from fresh placement.
     """
 
     def __init__(
@@ -56,7 +44,6 @@ class CompositeScheduler(Scheduler):
         placement: str,
         name: str = None,
         rescale_threshold: float = 0.0,
-        placement_cache: bool = False,
         **allocation_kwargs,
     ):
         if rescale_threshold < 0:
@@ -67,13 +54,7 @@ class CompositeScheduler(Scheduler):
         self.placement_policy = resolve_placement(placement)
         self.allocation_kwargs = allocation_kwargs
         self.rescale_threshold = float(rescale_threshold)
-        self.placement_cache = PlacementCache() if placement_cache else None
         self.name = name or f"{allocation}+{placement}"
-
-    def notify_node_events(self, failed=(), recovered=()) -> None:
-        if self.placement_cache is not None and (failed or recovered):
-            self.placement_cache.invalidate_all()
-            self.metrics.counter("placement.cache_invalidations").inc()
 
     def _apply_rescale_hysteresis(
         self,
@@ -141,39 +122,8 @@ class CompositeScheduler(Scheduler):
         with self.spans.span("place", requests=len(requests)), self.profiler.phase(
             "place"
         ):
-            cache = self.placement_cache
-            layouts: Dict[str, JobLayout] = {}
-            fresh = requests
-            if cache is not None:
-                # Replay validated layouts for unchanged allocations; they
-                # occupy the cluster first, so fresh placement packs the
-                # remaining jobs around them.
-                fresh = []
-                hits = 0
-                for request in requests:
-                    cached = cache.lookup(request)
-                    if cached is not None and cache.validate(
-                        cluster, request, cached
-                    ):
-                        _apply_layout(cluster, request, cached)
-                        layouts[request.job_id] = cached
-                        hits += 1
-                        if ledger:
-                            ledger.record_placement(
-                                request.job_id, "cache", len(cached)
-                            )
-                    else:
-                        fresh.append(request)
-                cache.hits += hits
-                cache.misses += len(fresh)
-                if hits:
-                    self.metrics.counter("placement.cache_hits").inc(float(hits))
-                if fresh:
-                    self.metrics.counter("placement.cache_misses").inc(
-                        float(len(fresh))
-                    )
-            placement = self.placement_policy(cluster, fresh)
-            layouts.update(placement.layouts)
+            placement = self.placement_policy(cluster, requests)
+            layouts: Dict[str, JobLayout] = dict(placement.layouts)
             if ledger:
                 for job_id, layout in placement.layouts.items():
                     ledger.record_placement(job_id, "fresh", len(layout))
@@ -246,22 +196,6 @@ class CompositeScheduler(Scheduler):
                         break  # genuinely no room; paused (§4.2)
                     workers = max(1, workers // 2)
                     ps = max(1, ps // 2)
-            if cache is not None:
-                for job_id, layout in layouts.items():
-                    alloc = final_allocations[job_id]
-                    cache.store(
-                        PlacementRequest(
-                            job_id=job_id,
-                            workers=alloc.workers,
-                            ps=alloc.ps,
-                            worker_demand=views[job_id].spec.worker_demand,
-                            ps_demand=views[job_id].spec.ps_demand,
-                        ),
-                        layout,
-                    )
-                for job_id in allocations:
-                    if job_id not in layouts:
-                        cache.forget_job(job_id)
         decision = SchedulingDecision(
             allocations=final_allocations, layouts=layouts
         )
@@ -281,7 +215,6 @@ class OptimusScheduler(CompositeScheduler):
         self,
         priority_factor: float = 1.0,
         rescale_threshold: float = 0.0,
-        placement_cache: bool = False,
         name: str = "optimus",
     ):
         super().__init__(
@@ -289,7 +222,6 @@ class OptimusScheduler(CompositeScheduler):
             "optimus",
             name=name,
             rescale_threshold=rescale_threshold,
-            placement_cache=placement_cache,
             priority_factor=priority_factor,
         )
 

@@ -144,7 +144,6 @@ class GoodputScheduler(CompositeScheduler):
         self,
         priority_factor: float = 1.0,
         rescale_threshold: float = 0.0,
-        placement_cache: bool = False,
         name: str = "goodput",
     ):
         super().__init__(
@@ -152,6 +151,5 @@ class GoodputScheduler(CompositeScheduler):
             "optimus",
             name=name,
             rescale_threshold=rescale_threshold,
-            placement_cache=placement_cache,
             priority_factor=priority_factor,
         )

@@ -14,15 +14,7 @@ from repro.sim.arena import (
     run_arena,
     score_result,
 )
-from repro.sim.engine import (
-    ENGINES,
-    default_engine,
-    SimConfig,
-    Simulation,
-    simulate,
-    simulation_for,
-)
-from repro.sim.events import EventDrivenSimulation, probe_accuracy
+from repro.sim.engine import SimConfig, Simulation, simulate
 from repro.sim.manifest import (
     config_digest,
     manifest_path_for,
@@ -67,18 +59,13 @@ __all__ = [
     "jain_index",
     "run_arena",
     "score_result",
-    "probe_accuracy",
     "LoadProfile",
     "constant_load",
     "diurnal_load",
     "step_load",
-    "ENGINES",
-    "default_engine",
     "SimConfig",
     "Simulation",
-    "EventDrivenSimulation",
     "simulate",
-    "simulation_for",
     "SimulationResult",
     "JobRecord",
     "TimeSlot",

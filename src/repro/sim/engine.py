@@ -14,13 +14,14 @@ configurations). This engine is that simulator:
   cost, then progress at their ground-truth speed -- which accounts for the
   placement (Fig. 10 transfer accounting), the parameter-server imbalance of
   the configured partitioner (§5.3) and any injected stragglers (§5.2);
-* completions are solved exactly inside the interval.
+* completions are solved exactly inside the interval;
+* while no job is active, time fast-forwards to the boundary at or after
+  the next arrival, so idle stretches of a trace cost no work.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -142,10 +143,20 @@ class SimConfig:
     ledger_top_k: int = 8
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise SimulationError("interval must be positive")
-        if self.max_time <= 0:
-            raise SimulationError("max_time must be positive")
+        if not (math.isfinite(self.interval) and self.interval > 0):
+            raise SimulationError(
+                f"interval must be positive and finite, got {self.interval}"
+            )
+        if not self.max_time > 0:  # also rejects NaN
+            raise SimulationError(f"max_time must be positive, got {self.max_time}")
+        if not self.speed_noise_std >= 0:
+            raise SimulationError(
+                f"speed_noise_std must be >= 0, got {self.speed_noise_std}"
+            )
+        if self.bootstrap_samples < 2:
+            raise SimulationError(
+                f"bootstrap_samples must be >= 2, got {self.bootstrap_samples}"
+            )
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise SimulationError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}"
@@ -316,12 +327,6 @@ class Simulation:
                     up_at=outage.up_at,
                 )
             metrics.counter("faults.node_failures").inc()
-        if newly_failed or update.recovered:
-            # Let schedulers with cluster-shaped state (placement caches)
-            # react to the changed server set before this interval's round.
-            self.scheduler.notify_node_events(
-                failed=sorted(newly_failed), recovered=list(update.recovered)
-            )
 
         for job_id, job in active.items():
             if not job.was_running or job.completed:
@@ -521,55 +526,47 @@ class Simulation:
 
     # -- the main loop --------------------------------------------------------------
     def run(self) -> SimulationResult:
-        # Both context managers cover the event engine too: it overrides
-        # only ``_run``, never ``run``.
         with use_registry(self.metrics), use_ledger(self.ledger):
-            return self._run()
+            cfg = self.config
+            profiler = self.profiler
+            specs = self.specs
+            next_idx = 0
+            active: Dict[str, RuntimeJob] = {}
+            done: Dict[str, RuntimeJob] = {}
+            timeline: List[TimeSlot] = []
+            decisions: List[Dict[str, TaskAllocation]] = []
+            now = 0.0
 
-    def _admit_one(self, spec: JobSpec, now: float, active: Dict[str, RuntimeJob]) -> None:
-        """Admit one job at scheduling boundary *now* (shared by both engines)."""
-        active[spec.job_id] = self._admit(spec)
-        if self.tracer:
-            self.tracer.emit(
-                EVENT_JOB_ARRIVED,
-                now,
-                job_id=spec.job_id,
-                model=spec.model_name,
-                mode=spec.mode,
-                arrival_time=spec.arrival_time,
-            )
-        self.metrics.counter("engine.jobs_admitted").inc()
+            while (next_idx < len(specs) or active) and now <= cfg.max_time:
+                profiler.begin_interval()
+                while next_idx < len(specs) and specs[next_idx].arrival_time <= now:
+                    spec = specs[next_idx]
+                    active[spec.job_id] = self._admit(spec)
+                    next_idx += 1
+                    if self.tracer:
+                        self.tracer.emit(
+                            EVENT_JOB_ARRIVED,
+                            now,
+                            job_id=spec.job_id,
+                            model=spec.model_name,
+                            mode=spec.mode,
+                            arrival_time=spec.arrival_time,
+                        )
+                    self.metrics.counter("engine.jobs_admitted").inc()
 
-    def _run(self) -> SimulationResult:
-        cfg = self.config
-        profiler = self.profiler
-        specs = self.specs
-        next_idx = 0
-        active: Dict[str, RuntimeJob] = {}
-        done: Dict[str, RuntimeJob] = {}
-        timeline: List[TimeSlot] = []
-        decisions: List[Dict[str, TaskAllocation]] = []
-        now = 0.0
+                if not active:
+                    # Idle cluster: fast-forward to the boundary after the
+                    # next arrival instead of spinning through empty intervals.
+                    next_arrival = specs[next_idx].arrival_time
+                    now = math.ceil(next_arrival / cfg.interval) * cfg.interval
+                    continue
 
-        while (next_idx < len(specs) or active) and now <= cfg.max_time:
-            profiler.begin_interval()
-            while next_idx < len(specs) and specs[next_idx].arrival_time <= now:
-                self._admit_one(specs[next_idx], now, active)
-                next_idx += 1
+                self._process_interval(
+                    now, active, done, timeline, decisions, len(specs) - next_idx
+                )
+                now += cfg.interval
 
-            if not active:
-                # Idle cluster: fast-forward to the boundary after the next
-                # arrival instead of spinning through empty intervals.
-                next_arrival = specs[next_idx].arrival_time
-                now = math.ceil(next_arrival / cfg.interval) * cfg.interval
-                continue
-
-            self._process_interval(
-                now, active, done, timeline, decisions, len(specs) - next_idx
-            )
-            now += cfg.interval
-
-        return self._finalize(active, done, specs[next_idx:], timeline, decisions)
+            return self._finalize(active, done, specs[next_idx:], timeline, decisions)
 
     def _process_interval(
         self,
@@ -579,16 +576,8 @@ class Simulation:
         timeline: List[TimeSlot],
         decisions: List[Dict[str, TaskAllocation]],
         pending_count: int,
-    ) -> Optional[Dict[str, float]]:
-        """Run one scheduling interval starting at *now*.
-
-        This is the engine-agnostic interval body: the tick loop calls it at
-        every boundary with active jobs, the event engine from its schedule
-        events. Returns projected completion times (absolute seconds) for
-        the jobs whose speed was predicted this interval when estimator
-        telemetry is attached, else ``None`` -- the event engine turns those
-        into completion-probe events.
-        """
+    ) -> None:
+        """Run one scheduling interval starting at *now*."""
         cfg = self.config
         tracer = self.tracer
         metrics = self.metrics
@@ -597,7 +586,6 @@ class Simulation:
         if self._faults:
             self._process_faults(now, active)
 
-        predictions: Optional[Dict[str, float]] = None
         spans = self.spans
         estimators = self.estimators
         spans.set_time(now)
@@ -640,7 +628,6 @@ class Simulation:
             if estimators:
                 # What the online models promised for this interval, to
                 # be scored against what the jobs actually achieve.
-                predictions = {}
                 views_by_id = {view.spec.job_id: view for view in views}
                 for job_id, alloc in decision.allocations.items():
                     view = views_by_id.get(job_id)
@@ -652,10 +639,6 @@ class Simulation:
                         job_id,
                         active[job_id].steps_done + view.remaining_steps,
                     )
-                    if speed_pred and speed_pred > 0:
-                        predictions[job_id] = (
-                            now + view.remaining_steps / speed_pred
-                        )
 
             with spans.span("progress"), profiler.phase("progress"):
                 nic_shares = self._nic_shares(decision.layouts)
@@ -728,7 +711,6 @@ class Simulation:
                 )
         if self.timeseries is not None:
             self.timeseries.sample_registry(metrics, now)
-        return predictions
 
     def _finalize(
         self,
@@ -781,45 +763,6 @@ class Simulation:
         )
 
 
-#: The selectable engine cores: the fixed-tick loop above and the
-#: event-heap core of :mod:`repro.sim.events`. Both produce bit-identical
-#: results on the same trace (see ``tests/test_sim_events.py``).
-ENGINES = ("tick", "event")
-
-
-def default_engine() -> str:
-    """The engine :func:`simulate` uses when none is named.
-
-    Normally ``"tick"``; the ``REPRO_SIM_ENGINE`` environment variable
-    overrides it, which is how CI's nightly lane re-runs the whole
-    fault/chaos suite on the event core without touching every call site.
-    """
-    engine = os.environ.get("REPRO_SIM_ENGINE", "tick")
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"REPRO_SIM_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
-
-
-def simulation_for(
-    engine: str,
-    cluster: Cluster,
-    scheduler: Union[Scheduler, str],
-    jobs: Sequence[JobSpec],
-    config: Optional[SimConfig] = None,
-    **kwargs,
-) -> Simulation:
-    """Build a :class:`Simulation` for the named engine core."""
-    if engine not in ENGINES:
-        raise SimulationError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "event":
-        from repro.sim.events import EventDrivenSimulation
-
-        return EventDrivenSimulation(cluster, scheduler, jobs, config, **kwargs)
-    return Simulation(cluster, scheduler, jobs, config, **kwargs)
-
-
 def simulate(
     cluster: Cluster,
     scheduler: Union[Scheduler, str],
@@ -829,7 +772,6 @@ def simulate(
     metrics: Optional[MetricsRegistry] = None,
     fault_plan: Optional[FaultPlan] = None,
     timeseries: Optional[TimeSeriesDB] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Convenience one-shot wrapper around :class:`Simulation`.
 
@@ -838,13 +780,8 @@ def simulate(
     ``fault_plan`` scripts deterministic faults on top of
     ``config.faults`` (see :mod:`repro.faults`); ``timeseries`` attaches
     a :class:`~repro.obs.timeseries.TimeSeriesDB` sampled every interval.
-    ``engine`` selects the loop core: ``"tick"`` (fixed-interval loop) or
-    ``"event"`` (the :mod:`repro.sim.events` heap core; same results,
-    sparse timelines cost nothing). ``None`` means :func:`default_engine`
-    (``"tick"`` unless ``REPRO_SIM_ENGINE`` says otherwise).
     """
-    return simulation_for(
-        engine if engine is not None else default_engine(),
+    return Simulation(
         cluster,
         scheduler,
         jobs,

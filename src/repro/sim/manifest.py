@@ -2,7 +2,8 @@
 
 A failed nightly soak is worthless unless it can be replayed exactly. The
 manifest is a small JSON file written next to every ``--trace-out`` that
-pins everything a replay needs: the seed, the engine core, the policy, the
+pins everything a replay needs: the seed, the driver (``engine``: ``tick``
+for the simulator, ``controlloop`` for the failover drill), the policy, the
 fault plan, a stable hash of the :class:`~repro.sim.engine.SimConfig`, the
 workload size and the package version. ``repro soak`` additionally embeds
 the scenario spec itself.

@@ -93,3 +93,10 @@ class TestCommands:
     def test_arena_unknown_policy_fails(self, capsys):
         code = main(["arena", "--policies", "optimus,not-a-policy"])
         assert code != 0
+
+    def test_simulate_usage_error_exits_2(self, capsys):
+        assert main(["simulate", "--servers", "0", "--jobs", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import Cluster, cpu_mem
 from repro.common.errors import SimulationError
+from repro.obs import MetricsRegistry
 from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, Simulation, StragglerConfig, simulate
 from repro.workloads import make_job, uniform_arrivals
@@ -89,6 +90,28 @@ class TestTimeAccounting:
         # Timeline has no slots before the arrival.
         assert all(slot.time >= 49_800 for slot in result.timeline)
 
+    def test_idle_gap_costs_no_intervals(self):
+        """Two jobs separated by a huge idle gap: the loop must not grind
+        through the empty intervals inside the gap."""
+        gap = 400_000.0
+        workload = [
+            make_job("cnn-rand", mode="sync", job_id="early", arrival_time=0.0),
+            make_job("cnn-rand", mode="sync", job_id="late", arrival_time=gap),
+        ]
+        metrics = MetricsRegistry()
+        result = simulate(
+            Cluster.homogeneous(10, cpu_mem(16, 80)),
+            make_scheduler("optimus"),
+            workload,
+            SimConfig(seed=0),
+            metrics=metrics,
+        )
+        assert result.all_finished
+        intervals = metrics.snapshot()["counters"]["engine.intervals"]
+        # The gap alone spans hundreds of interval boundaries; walking it
+        # would show up as hundreds of intervals.
+        assert intervals < gap / result.interval / 10
+
     def test_max_time_leaves_jobs_unfinished(self):
         config = SimConfig(seed=3, estimator_mode="oracle", max_time=600)
         jobs = [make_job("seq2seq", job_id="long", dataset_scale=0.5)]
@@ -162,6 +185,14 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(SimulationError):
             SimConfig(interval=0)
+        with pytest.raises(SimulationError, match="interval"):
+            SimConfig(interval=float("nan"))
+        with pytest.raises(SimulationError, match="max_time"):
+            SimConfig(max_time=float("nan"))
+        with pytest.raises(SimulationError, match="speed_noise_std"):
+            SimConfig(speed_noise_std=-0.1)
+        with pytest.raises(SimulationError, match="bootstrap_samples"):
+            SimConfig(bootstrap_samples=0)
         with pytest.raises(SimulationError):
             SimConfig(estimator_mode="psychic")
         with pytest.raises(SimulationError):

@@ -1,18 +1,10 @@
-"""The event-heap engine core and the incremental allocator.
+"""The heap-based incremental §4.1 allocator against a from-scratch reference.
 
-Two equivalence contracts are pinned here:
-
-* :class:`~repro.sim.events.EventDrivenSimulation` must produce results
-  bit-identical to the fixed-tick loop on the same seeded trace -- both
-  engines drive the same ``_process_interval`` body and consume the RNG
-  identically, so every per-job outcome (completion time, steps,
-  crash-induced restarts) must match exactly, across seeds and with
-  faults injected.
-* The heap-based incremental ``allocate`` (candidate completion times
-  carried in heap entries, vectorized evaluation) must grant exactly what
-  a from-scratch reference -- same greedy control flow, but recomputing
-  :func:`~repro.core.allocation._marginal_gain` fresh at every push --
-  would grant.
+``allocate`` carries candidate completion times in its heap entries and
+evaluates speeds in vectorized batches. It must grant exactly what a
+reference greedy -- same control flow, but recomputing
+:func:`~repro.core.allocation._marginal_gain` fresh at every push -- would
+grant.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ import random
 
 import pytest
 
-from repro.cluster import Cluster, cpu_mem
+from repro.cluster import cpu_mem
 from repro.cluster.resources import ResourceVector
 from repro.core.allocation import (
     AllocationRequest,
@@ -31,136 +23,6 @@ from repro.core.allocation import (
     _marginal_gain,
     allocate,
 )
-from repro.faults.config import FaultConfig
-from repro.obs import MetricsRegistry
-from repro.schedulers import make_scheduler
-from repro.sim import ENGINES, SimConfig, default_engine, simulate
-from repro.workloads import make_job, uniform_arrivals
-
-SEEDS = (3, 11, 42)
-
-FAULTS = FaultConfig(node_mtbf=40_000.0, task_crash_rate=2e-5)
-
-
-def run_one(engine, seed, faults=None, metrics=None, workload=None):
-    workload = workload or uniform_arrivals(num_jobs=8, window=8_000, seed=seed)
-    config = SimConfig(seed=seed, faults=faults or FaultConfig())
-    return simulate(
-        Cluster.homogeneous(10, cpu_mem(16, 80)),
-        make_scheduler("optimus"),
-        workload,
-        config,
-        metrics=metrics,
-        engine=engine,
-    )
-
-
-def job_fingerprints(result):
-    """Every per-job outcome that must be identical across engines."""
-    return {
-        job_id: (
-            record.completion_time,
-            record.total_steps,
-            record.num_restarts,
-            record.num_scalings,
-            record.steps_lost,
-        )
-        for job_id, record in result.jobs.items()
-    }
-
-
-def completion_order(result):
-    return sorted(
-        (record.completion_time, job_id)
-        for job_id, record in result.jobs.items()
-        if record.completion_time is not None
-    )
-
-
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_bit_identical_fault_free(self, seed):
-        tick = run_one("tick", seed)
-        event = run_one("event", seed)
-        assert job_fingerprints(tick) == job_fingerprints(event)
-        assert completion_order(tick) == completion_order(event)
-        assert tick.average_jct == event.average_jct
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_bit_identical_under_faults(self, seed):
-        """Node crashes and task crashes replay identically: both engines
-        consume the fault RNG in the same order."""
-        tick = run_one("tick", seed, faults=FAULTS)
-        event = run_one("event", seed, faults=FAULTS)
-        assert job_fingerprints(tick) == job_fingerprints(event)
-        # The fault config is hot enough that restarts actually occur on
-        # at least one seed; the assertion above would vacuously pass on
-        # a config that never fires.
-        assert tick.average_jct == event.average_jct
-
-    def test_faults_actually_fire(self):
-        restarts = 0
-        for seed in SEEDS:
-            result = run_one("event", seed, faults=FAULTS)
-            restarts += sum(r.num_restarts for r in result.jobs.values())
-        assert restarts > 0
-
-    def test_idle_gaps_cost_no_schedule_events(self):
-        """Two jobs separated by a huge idle gap: neither engine may grind
-        through the empty intervals inside the gap, and both must agree on
-        the outcome. (The engines intentionally visit the *same* schedule
-        points -- that is what makes them bit-identical -- so the two
-        counters must also agree with each other.)"""
-        gap = 400_000.0
-        workload = [
-            make_job("cnn-rand", mode="sync", job_id="early", arrival_time=0.0),
-            make_job(
-                "cnn-rand", mode="sync", job_id="late", arrival_time=gap
-            ),
-        ]
-        tick_metrics = MetricsRegistry()
-        event_metrics = MetricsRegistry()
-        tick = run_one("tick", 0, metrics=tick_metrics, workload=list(workload))
-        event = run_one("event", 0, metrics=event_metrics, workload=list(workload))
-        assert job_fingerprints(tick) == job_fingerprints(event)
-
-        intervals = tick_metrics.snapshot()["counters"]["engine.intervals"]
-        schedules = event_metrics.snapshot()["counters"]["sim.events_schedule"]
-        # The gap alone spans hundreds of interval boundaries; walking it
-        # would show up as hundreds of intervals / schedule events.
-        boundaries_in_gap = gap / tick.interval
-        assert intervals < boundaries_in_gap / 10
-        assert schedules < boundaries_in_gap / 10
-        assert schedules == intervals
-
-    def test_event_counters_exported(self):
-        metrics = MetricsRegistry()
-        run_one("event", 0, metrics=metrics)
-        counters = metrics.snapshot()["counters"]
-        assert counters["sim.events_processed"] > 0
-        assert counters["sim.events_arrival"] > 0
-        assert counters["sim.events_schedule"] > 0
-
-
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(Exception, match="engine"):
-            run_one("warp", 0)
-
-    def test_engines_tuple(self):
-        assert ENGINES == ("tick", "event")
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert default_engine() == "tick"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        assert default_engine() == "event"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.raises(Exception, match="REPRO_SIM_ENGINE"):
-            default_engine()
-
-
-# -- incremental allocator vs from-scratch reference -------------------------
 
 
 def reference_allocate(requests, capacity):

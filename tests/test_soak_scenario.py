@@ -37,7 +37,6 @@ class TestScenarioSpec:
             {"workload": [{"arrivals": "uniform", "jobs": 2}]}
         )
         assert spec.policy == "optimus"
-        assert spec.engine is None
         assert spec.servers == 13
 
     def test_unknown_key(self):
@@ -59,9 +58,11 @@ class TestScenarioSpec:
             ScenarioSpec.from_dict({"workload": [{"arrivals": "trace"}]})
 
     def test_bad_engine(self):
-        with pytest.raises(ConfigurationError, match="engine"):
+        # Scenarios do not choose a loop core: an "engine" key is rejected
+        # like any other unknown key.
+        with pytest.raises(ConfigurationError, match="unknown key.*engine"):
             ScenarioSpec.from_dict(
-                {"workload": [{"arrivals": "uniform"}], "engine": "warp"}
+                {"workload": [{"arrivals": "uniform"}], "engine": "event"}
             )
 
     def test_bad_perturbation_kind(self):
@@ -310,19 +311,17 @@ class TestSoakCli:
         out = capsys.readouterr().out
         assert "invariants" in out and "FAIL" not in out
 
-    def test_engine_and_seed_overrides(self, tmp_path, capsys):
+    def test_seed_override(self, tmp_path, capsys):
         code = main(
             [
                 "soak",
                 "--scenario", self._write_scenario(tmp_path),
-                "--engine", "tick",
                 "--seed", "11",
                 "--json",
             ]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "tick"
         assert payload["seed"] == 11
 
     def test_mode_conflict_exits_2(self, tmp_path, capsys):
