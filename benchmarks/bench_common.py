@@ -90,6 +90,19 @@ def report(name: str, lines: Iterable[str]) -> str:
     return text
 
 
+def phase_p95_ms(registry, path: str) -> float:
+    """p95 in ms of the ``phase.<path>`` histogram, e.g. ``interval/schedule/place``.
+
+    Raises ``LookupError`` when the histogram saw no observation:
+    ``MetricsRegistry.histogram`` creates a missing name on first read, so
+    a stale path would otherwise report 0.0 and pass a lower-is-better gate.
+    """
+    histogram = registry.histogram(f"phase.{path}")
+    if not histogram.count:
+        raise LookupError(f"phase.{path} has no observations")
+    return round(1000.0 * histogram.quantile(0.95), 4)
+
+
 def normalised_row(results: Dict[str, SimulationResult]) -> Dict[str, Dict[str, float]]:
     """JCT/makespan of each scheduler relative to Optimus (Fig-11 style)."""
     base_jct = results["optimus"].average_jct

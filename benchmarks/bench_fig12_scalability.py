@@ -25,7 +25,7 @@ import json
 import sys
 import time
 
-from bench_common import report
+from bench_common import phase_p95_ms, report
 from repro.cluster import Cluster, cpu_mem
 from repro.cluster.resources import ResourceVector
 from repro.core.allocation import AllocationRequest, allocate
@@ -165,12 +165,8 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
         "intervals_per_second": round(intervals / wall, 2) if wall > 0 else 0.0,
         "jobs_per_second": round(completed / wall, 2) if wall > 0 else 0.0,
         "jobs_completed": int(completed),
-        "allocate_p95_ms": round(
-            1000.0 * registry.histogram("phase.allocate").quantile(0.95), 4
-        ),
-        "place_p95_ms": round(
-            1000.0 * registry.histogram("phase.place").quantile(0.95), 4
-        ),
+        "allocate_p95_ms": phase_p95_ms(registry, "interval/schedule/allocate"),
+        "place_p95_ms": phase_p95_ms(registry, "interval/schedule/place"),
         "average_jct_seconds": round(result.average_jct, 2),
     }
 

@@ -118,7 +118,8 @@ def write_smoke_report(path: str = REPORT_PATH) -> dict:
 
     The workload matches the repo's standard 9-job / 13-server scenario,
     run with a live metrics registry so the per-phase histograms exist;
-    allocate/place p95s come straight from them.
+    allocate/place p95s come straight from them (``phase_p95_ms`` fails
+    rather than report 0.0 when a phase path is stale).
 
     The same scenario is then re-run twice with a tracer attached --
     once with the decision ledger off, once in ``full`` mode;
@@ -126,6 +127,7 @@ def write_smoke_report(path: str = REPORT_PATH) -> dict:
     isolates the cost of the PR-10 decision ledger from tracing itself
     and gates it against the committed baseline.
     """
+    from bench_common import phase_p95_ms
     from repro.cluster import Cluster, cpu_mem
     from repro.obs import MetricsRegistry, RecordingTracer
     from repro.schedulers import make_scheduler
@@ -155,12 +157,8 @@ def write_smoke_report(path: str = REPORT_PATH) -> dict:
     report = {
         "interval_loop_seconds": round(elapsed, 4),
         "intervals": intervals,
-        "allocate_p95_ms": round(
-            1000.0 * registry.histogram("phase.allocate").quantile(0.95), 4
-        ),
-        "place_p95_ms": round(
-            1000.0 * registry.histogram("phase.place").quantile(0.95), 4
-        ),
+        "allocate_p95_ms": phase_p95_ms(registry, "interval/schedule/allocate"),
+        "place_p95_ms": phase_p95_ms(registry, "interval/schedule/place"),
         "average_jct_seconds": round(result.summary()["average_jct"], 2),
         "ledger_overhead_ratio": round(elapsed_full / elapsed_off, 4),
     }

@@ -241,16 +241,20 @@ def _simulate(args: argparse.Namespace) -> int:
         print("\nper-phase wall-clock profile:")
         print(
             format_table(
-                ["phase", "calls", "total (s)", "mean (ms)", "max (ms)"],
+                [
+                    "phase path", "calls", "total (s)", "self (s)",
+                    "mean (ms)", "max (ms)",
+                ],
                 [
                     [
-                        phase,
+                        path,
                         int(stats["count"]),
                         stats["total"],
+                        stats["self"],
                         stats["mean"] * 1e3,
                         stats["max"] * 1e3,
                     ]
-                    for phase, stats in result.phase_timings.items()
+                    for path, stats in result.phase_timings.items()
                 ],
             )
         )

@@ -51,14 +51,8 @@ from repro.obs.estimators import (
     NULL_ESTIMATOR_TELEMETRY,
     EstimatorTelemetry,
 )
-from repro.obs.registry import (
-    NULL_PROFILER,
-    MetricsRegistry,
-    PhaseProfiler,
-    active_registry,
-    use_registry,
-)
-from repro.obs.spans import span_tracer_for
+from repro.obs.phases import phases_for
+from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_MISSING,
@@ -146,16 +140,12 @@ class ControlLoop:
         # trace events are stamped with the 0-based step index.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else active_registry()
-        if self.tracer or self.metrics:
-            self.profiler = PhaseProfiler(self.metrics)
-        else:
-            self.profiler = NULL_PROFILER
-        # Causal span tracing: a ``step`` root per interval with sweep /
+        # Phase timing: a ``step`` root per interval with sweep /
         # snapshot / schedule / reconcile children; the controller opens
         # per-job checkpoint / teardown / launch grandchildren.
-        self.spans = span_tracer_for(self.tracer)
-        if not self.controller.spans:
-            self.controller.spans = self.spans
+        self.phases = phases_for(self.tracer, self.metrics)
+        if not self.controller.phases:
+            self.controller.phases = self.phases
         # Prediction-quality telemetry: predictions recorded at decision
         # time, resolved by callers through observe_speed /
         # observe_completion (the deployment has no ground-truth clock).
@@ -171,8 +161,7 @@ class ControlLoop:
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
-            profiler=self.profiler,
-            spans=self.spans,
+            phases=self.phases,
         )
         # A recovered loop passes the dead predecessor's step index so the
         # shared clock (trace times, lease expiry) stays monotonic.
@@ -214,23 +203,22 @@ class ControlLoop:
                 f"(epoch {self.election.epoch}); cannot run a step"
             )
         tracer = self.tracer
-        spans = self.spans
-        spans.set_time(now)
-        self.profiler.begin_interval()
+        phases = self.phases
+        phases.set_time(now)
         managed = {view.job_id for view in views}
-        with use_registry(self.metrics), spans.span(
+        with use_registry(self.metrics), phases.phase(
             "step", step=self._step_index
         ):
-            with spans.span("sweep"), self.profiler.phase("sweep"):
+            with phases.phase("sweep"):
                 self.sweep_node_leases(now)
             # Write-ahead: the store knows the loop owns these jobs
             # *before* any of their pods are touched, so a crash mid-pass
             # cannot orphan a half-managed job.
             for job_id in sorted(managed - self._known_jobs):
                 self.controller.adopt_job(job_id)
-            with spans.span("snapshot"), self.profiler.phase("snapshot"):
+            with phases.phase("snapshot"):
                 cluster = cluster_from_api(self.api, managed_jobs=managed)
-            with spans.span("schedule"), self.profiler.phase("schedule"):
+            with phases.phase("schedule"):
                 decision = self.scheduler.schedule(cluster, views)
 
             if tracer:
@@ -296,7 +284,7 @@ class ControlLoop:
                 )
             ):
                 self.election.sever(now)
-            with spans.span("reconcile"), self.profiler.phase("reconcile"):
+            with phases.phase("reconcile"):
                 # Graceful degradation: a rescale failing mid-flight rolls
                 # that job back to its previous pods and the loop carries on
                 # with the rest, instead of tearing half the fleet down.
@@ -344,7 +332,6 @@ class ControlLoop:
                 running_jobs=len(decision.scheduled_jobs),
                 active_jobs=len(managed),
                 paused_jobs=len(paused),
-                phases=self.profiler.interval_timings(),
             )
         self._step_index += 1
         return StepReport(decision=decision, reconcile=report, paused=paused)
@@ -495,9 +482,9 @@ class ControlLoop:
         ``loop.checkpoints_missing``.
         """
         now = float(self._step_index)
-        self.spans.set_time(now)
+        self.phases.set_time(now)
         stored = self.controller.managed_jobs()
-        with self.spans.span("replay_intents"):
+        with self.phases.phase("replay_intents"):
             for job_id, phase, outcome in self.controller.replay_intents():
                 if self.tracer:
                     self.tracer.emit(

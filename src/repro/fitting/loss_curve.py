@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import FittingError
-from repro.fitting.nnls import nnls
+from repro.fitting.nnls import default_tol, nnls
 from repro.fitting.preprocess import preprocess_losses
 from repro.obs.registry import active_registry
 
@@ -137,11 +137,16 @@ def _nnls_for_beta2(
 
     With two unknowns the unconstrained least-squares optimum has a closed
     form (centred normal equations). When both coefficients come out
-    non-negative it *is* the NNLS optimum; only a boundary solution (one
+    positive it *is* the NNLS optimum; only a boundary solution (one
     coefficient pinned at zero) needs the Lawson–Hanson active-set solver.
+    A coefficient within (a bound on) Lawson–Hanson's tolerance of zero
+    also goes to the solver, which pins it when it is below the tolerance:
+    otherwise the answer near the ``b2`` where a coefficient crosses zero
+    would depend on which path solved it.
     """
     shifted = losses - beta2
-    if shifted.min() <= 1e-9:
+    shifted_min = float(shifted.min())
+    if shifted_min <= 1e-9:
         return None
     y = 1.0 / shifted
     n = len(steps)
@@ -150,7 +155,10 @@ def _nnls_for_beta2(
     spread = float(centred @ centred)
     beta0 = float(centred @ y) / spread if spread > 0 else math.nan
     beta1 = float(y.sum()) / n - beta0 * k_mean
-    if not (beta0 >= 0 and beta1 >= 0):
+    # |k| <= |mean| + sqrt(spread) and max(y) = 1/min(shifted): an upper
+    # bound on the solver's tolerance, without another pass over the data.
+    tol = default_tol(n, 2, abs(k_mean) + math.sqrt(spread), 1.0 / shifted_min)
+    if not (beta0 > tol and beta1 > tol):
         design = np.column_stack([steps, np.ones_like(steps)])
         try:
             coeffs, _ = nnls(design, y)

@@ -19,6 +19,19 @@ import numpy as np
 
 from repro.common.errors import FittingError
 
+_EPS = float(np.finfo(float).eps)
+
+
+def default_tol(m: int, n: int, a_max: float, b_max: float) -> float:
+    """The solver's default tolerance for an ``(m, n)`` problem.
+
+    *a_max* and *b_max* are the largest absolute entries of ``A`` and ``b``.
+    A coefficient at or below it counts as zero: it is dropped from the
+    passive set, and a dual entry at or below it ends the search. The
+    tolerance grows with both maxima, so bounds on them give a bound on it.
+    """
+    return 10 * max(m, n) * _EPS * max(a_max, 1.0) * max(b_max, 1.0)
+
 
 def nnls(
     A: np.ndarray,
@@ -65,9 +78,9 @@ def nnls(
     if max_iter is None:
         max_iter = max(3 * n, 30)
     if tol is None:
-        tol = 10 * max(m, n) * np.finfo(float).eps * max(
-            float(np.abs(A).max(initial=0.0)), 1.0
-        ) * max(float(np.abs(b).max(initial=0.0)), 1.0)
+        tol = default_tol(
+            m, n, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0))
+        )
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)  # the "P" set

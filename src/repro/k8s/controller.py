@@ -38,7 +38,7 @@ from repro.faults.crashpoints import (
 )
 from repro.k8s.api import APIServer
 from repro.k8s.objects import PodSpec, pod_name
-from repro.obs.spans import NULL_SPAN_TRACER, SpanTracer
+from repro.obs.phases import NULL_PHASES, Phases
 
 CHECKPOINT_PREFIX = "/checkpoints/"
 #: Write-ahead intent records, one per job with a cycle in flight.
@@ -213,15 +213,15 @@ class JobController:
         self,
         api: APIServer,
         crash_points: Optional[CrashPointInjector] = None,
-        spans: Optional[SpanTracer] = None,
+        phases: Optional[Phases] = None,
     ):
         self.api = api
         self.crash_points = crash_points
-        #: Causal span tracer; the owning control loop shares its own so
-        #: per-job checkpoint/teardown/launch spans nest under "reconcile".
-        #: Spans close in ``finally``, so a crash-point firing mid-cycle
-        #: still emits every open span before the exception escapes.
-        self.spans = spans if spans is not None else NULL_SPAN_TRACER
+        #: Phase timer; the owning control loop shares its own so per-job
+        #: checkpoint/teardown/launch phases nest under "reconcile".
+        #: Phases close in ``finally``, so a crash-point firing mid-cycle
+        #: still emits every open phase before the exception escapes.
+        self.phases = phases if phases is not None else NULL_PHASES
 
     def _crash(self, point: str, job_id: str) -> None:
         if self.crash_points:
@@ -447,7 +447,7 @@ class JobController:
         # Tear down jobs that should no longer run.
         for job_id in sorted(existing_jobs - set(desired)):
             try:
-                with self.spans.span("checkpoint", job_id=job_id):
+                with self.phases.phase("checkpoint", job_id=job_id):
                     if self.save_checkpoint(
                         job_id, job_progress.get(job_id, 0.0)
                     ):
@@ -456,7 +456,7 @@ class JobController:
                         JobIntent.for_teardown(job_id, INTENT_CHECKPOINTED)
                     )
                     self._crash(CRASH_AFTER_CHECKPOINT, job_id)
-                with self.spans.span("teardown", job_id=job_id):
+                with self.phases.phase("teardown", job_id=job_id):
                     report.pods_deleted += self._teardown_job(job_id)
                     self._crash(CRASH_AFTER_TEARDOWN, job_id)
                 self.clear_intent(job_id)
@@ -489,7 +489,7 @@ class JobController:
                     previous_pods = [
                         p for p in self.api.list_pods(job_id=job_id) if p.bound
                     ]
-                    with self.spans.span("checkpoint", job_id=job_id):
+                    with self.phases.phase("checkpoint", job_id=job_id):
                         if self.save_checkpoint(
                             job_id, job_progress.get(job_id, 0.0)
                         ):
@@ -498,7 +498,7 @@ class JobController:
                             JobIntent.for_target(target, INTENT_CHECKPOINTED)
                         )
                         self._crash(CRASH_AFTER_CHECKPOINT, job_id)
-                    with self.spans.span("teardown", job_id=job_id):
+                    with self.phases.phase("teardown", job_id=job_id):
                         report.pods_deleted += self._teardown_job(job_id)
                         self._put_intent(
                             JobIntent.for_target(target, INTENT_TORN_DOWN)
@@ -512,7 +512,7 @@ class JobController:
                     continue
             try:
                 restored = self.load_checkpoint(job_id) is not None
-                with self.spans.span("launch", job_id=job_id):
+                with self.phases.phase("launch", job_id=job_id):
                     self._put_intent(
                         JobIntent.for_target(target, INTENT_LAUNCHING)
                     )

@@ -1,4 +1,4 @@
-"""Structured observability: tracing, spans, metrics, estimator telemetry.
+"""Structured observability: tracing, phases, metrics, estimator telemetry.
 
 The schedulers in this repository make one decision per scheduling
 interval; understanding *why* a decision was made and *where* interval
@@ -9,22 +9,25 @@ dependencies:
 * :mod:`repro.obs.tracer` -- typed JSONL event tracing
   (``job_arrived`` .. ``estimator_drift``); off by default via
   :data:`NULL_TRACER`.
-* :mod:`repro.obs.spans` -- causal span tracing over the same stream:
-  each scheduling interval / control-loop step becomes a flame tree
-  (``interval`` -> ``fit`` / ``allocate`` / ``place`` / ``rescale``).
+* :mod:`repro.obs.phases` -- the one timing primitive: ``with
+  phases.phase(name):`` nests a phase under the open one, emits a ``span``
+  event on the same stream, observes the ``phase.<path>`` histogram and
+  keeps per-path totals. Each scheduling interval / control-loop step
+  becomes one tree (``interval`` -> ``fit`` / ``snapshot`` / ``schedule``
+  -> ``allocate`` / ``place`` ...).
 * :mod:`repro.obs.estimators` -- predicted-vs-actual tracking for the §3
   online models: per-job and fleet MAPE, signed bias, and a windowed
   drift detector that flags stale estimators.
 * :mod:`repro.obs.registry` -- counters, gauges, fixed-bucket histograms
-  (with interpolated quantiles), ``timer()`` context managers and the
-  per-interval :class:`PhaseProfiler`; off by default via
+  (with interpolated quantiles); off by default via
   :data:`NULL_REGISTRY`.
 * :mod:`repro.obs.timeseries` -- a fixed-memory ring-buffer TSDB sampling
   the registry once per interval, downsampling on overflow.
 * :mod:`repro.obs.export` -- Prometheus text exposition and the
   ``repro top`` cluster/job table.
-* :mod:`repro.obs.summarize` -- turn a trace file into per-phase time
-  breakdowns, span flame trees, estimator reports and per-job timelines.
+* :mod:`repro.obs.summarize` -- turn a trace file into the phase tree
+  (total, self time, share of root time, percentiles per path), estimator
+  reports and per-job timelines.
 * :mod:`repro.obs.ledger` -- the scheduler decision ledger: compact
   ``decision`` events (grants with marginal gain and runner-up gap,
   denial reasons, placement provenance) with a sampling/budget knob;
@@ -68,26 +71,23 @@ from repro.obs.ledger import (
 )
 from repro.obs.registry import (
     DEFAULT_TIME_BUCKETS,
-    NULL_PROFILER,
     NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullPhaseProfiler,
     NullRegistry,
-    PhaseProfiler,
     active_registry,
     install_registry,
     quantile_from_snapshot,
     use_registry,
 )
-from repro.obs.spans import (
-    NULL_SPAN_TRACER,
-    NullSpanTracer,
-    Span,
-    SpanTracer,
-    span_tracer_for,
+from repro.obs.phases import (
+    NULL_PHASES,
+    NullPhases,
+    Phase,
+    Phases,
+    phases_for,
 )
 from repro.obs.summarize import (
     control_plane_summary,
@@ -96,7 +96,6 @@ from repro.obs.summarize import (
     estimator_report,
     event_type_counts,
     job_timelines,
-    phase_breakdown,
     render_span_flame,
     span_flame,
     span_tree,
@@ -198,12 +197,12 @@ __all__ = [
     "explain_trace",
     "trace_diff",
     "format_trace_diff",
-    # spans
-    "Span",
-    "SpanTracer",
-    "NullSpanTracer",
-    "NULL_SPAN_TRACER",
-    "span_tracer_for",
+    # phases
+    "Phase",
+    "Phases",
+    "NullPhases",
+    "NULL_PHASES",
+    "phases_for",
     # estimators
     "EstimatorTelemetry",
     "NullEstimatorTelemetry",
@@ -224,9 +223,6 @@ __all__ = [
     "install_registry",
     "use_registry",
     "quantile_from_snapshot",
-    "PhaseProfiler",
-    "NullPhaseProfiler",
-    "NULL_PROFILER",
     # timeseries
     "TimeSeries",
     "TimeSeriesDB",
@@ -237,7 +233,6 @@ __all__ = [
     "top_state",
     "EXPORT_QUANTILES",
     # summarize
-    "phase_breakdown",
     "job_timelines",
     "decision_timeline",
     "decision_summary",

@@ -5,14 +5,13 @@ Several views are produced from the same event stream:
 * **Event inventory** -- how many events of each type, with anything this
   build does not recognise collected into an ``unknown`` bucket (traces
   from newer builds still summarise instead of crashing).
-* **Per-phase time breakdown** -- aggregated from the ``phases`` field of
-  ``interval_tick`` events: where does a scheduling interval's wall-clock
-  time go (snapshot, fit, allocate, place, reconcile, progress)? Reported
-  with p50/p95/p99 over the per-interval samples, not just the mean.
-* **Span flame tree** -- ``span`` events carry ``span_id``/``parent_id``,
-  so :func:`span_tree` reconstructs each interval's causal tree and
-  :func:`span_flame` aggregates identical paths (``interval > schedule >
-  allocate``) across the whole trace.
+* **Phase tree** -- ``span`` events carry ``span_id``/``parent_id``, so
+  :func:`span_tree` reconstructs each interval's causal tree and
+  :func:`span_flame` aggregates identical paths
+  (``interval/schedule/allocate``) across the whole trace: calls, total,
+  self time (total minus children), share of the root's time and
+  p50/p95/p99 over the calls. The root's self time is the interval time
+  no phase accounts for, reported as its own ``unattributed`` line.
 * **Estimator report** -- per-job and fleet speed / loss-curve MAPE and
   bias recomputed from ``estimator_sample`` events, plus drift events.
 * **Decision ledger summary** -- grant / denial / placement-provenance
@@ -49,7 +48,6 @@ from repro.obs.tracer import (
     EVENT_DECISION,
     EVENT_ESTIMATOR_DRIFT,
     EVENT_ESTIMATOR_SAMPLE,
-    EVENT_INTERVAL_TICK,
     EVENT_JOB_ARRIVED,
     EVENT_JOB_COMPLETED,
     EVENT_JOB_RESCALED,
@@ -101,36 +99,7 @@ def event_type_counts(
     return dict(known), dict(unknown)
 
 
-def phase_breakdown(events: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
-    """Aggregate ``interval_tick.phases`` into per-phase statistics.
-
-    Returns ``{phase: {count, total, mean, share, p50, p95, p99}}`` where
-    ``share`` is the phase's fraction of all profiled time across the
-    trace and the percentiles are over per-interval samples (seconds).
-    """
-    samples: Dict[str, List[float]] = {}
-    for event in events:
-        if event.get("event") != EVENT_INTERVAL_TICK:
-            continue
-        for phase, seconds in (event.get("phases") or {}).items():
-            samples.setdefault(phase, []).append(float(seconds))
-    grand_total = sum(sum(values) for values in samples.values())
-    breakdown: Dict[str, Dict[str, float]] = {}
-    for phase, values in sorted(samples.items()):
-        total = sum(values)
-        breakdown[phase] = {
-            "count": float(len(values)),
-            "total": total,
-            "mean": total / len(values),
-            "share": total / grand_total if grand_total > 0 else 0.0,
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "p99": _percentile(values, 0.99),
-        }
-    return breakdown
-
-
-# -- span flame trees -----------------------------------------------------------
+# -- the phase tree --------------------------------------------------------------
 
 
 def span_tree(events: Sequence[Dict]) -> List[Dict]:
@@ -165,7 +134,7 @@ def span_tree(events: Sequence[Dict]) -> List[Dict]:
 def _walk_paths(
     node: Dict, prefix: str, acc: Dict[str, List[float]]
 ) -> None:
-    path = f"{prefix} > {node['name']}" if prefix else node["name"]
+    path = f"{prefix}/{node['name']}" if prefix else node["name"]
     acc.setdefault(path, []).append(float(node.get("duration", 0.0)))
     for child in node["children"]:
         _walk_paths(child, path, acc)
@@ -174,37 +143,81 @@ def _walk_paths(
 def span_flame(events: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
     """Aggregate span durations by tree path across the whole trace.
 
-    ``{"interval > schedule > allocate": {count, total, mean, p95}}`` --
-    the flame-graph view, merged over every interval.
+    Returns ``{"interval/schedule/allocate": {count, total, self, share,
+    self_share, p50, p95, p99}}`` in pre-order: every path follows its
+    parent, siblings in the order they first ran. ``self`` is the total
+    minus the children's totals; ``share`` and ``self_share`` divide by
+    the total of the path's root, so a root's ``self_share`` is its
+    unattributed fraction and the ``self_share`` values of one root's
+    tree sum to 1. Percentiles are over the individual calls (seconds).
     """
-    acc: Dict[str, List[float]] = {}
+    samples: Dict[str, List[float]] = {}
     for root in span_tree(events):
-        _walk_paths(root, "", acc)
-    return {
-        path: {
+        _walk_paths(root, "", samples)
+    first_seen = {path: i for i, path in enumerate(samples)}
+
+    def preorder(path: str) -> Tuple[int, ...]:
+        parts = path.split("/")
+        return tuple(
+            first_seen["/".join(parts[: i + 1])] for i in range(len(parts))
+        )
+
+    totals = {path: sum(values) for path, values in samples.items()}
+    child_totals: Dict[str, float] = {}
+    for path, total in totals.items():
+        parent = path.rpartition("/")[0]
+        if parent:
+            child_totals[parent] = child_totals.get(parent, 0.0) + total
+    flame: Dict[str, Dict[str, float]] = {}
+    for path in sorted(samples, key=preorder):
+        values = samples[path]
+        root_total = totals[path.split("/", 1)[0]]
+        self_time = totals[path] - child_totals.get(path, 0.0)
+        flame[path] = {
             "count": float(len(values)),
-            "total": sum(values),
-            "mean": sum(values) / len(values),
+            "total": totals[path],
+            "self": self_time,
+            "share": totals[path] / root_total if root_total > 0 else 0.0,
+            "self_share": self_time / root_total if root_total > 0 else 0.0,
+            "p50": _percentile(values, 0.50),
             "p95": _percentile(values, 0.95),
+            "p99": _percentile(values, 0.99),
         }
-        for path, values in acc.items()
-    }
+    return flame
 
 
 def render_span_flame(events: Sequence[Dict]) -> List[str]:
-    """Indented flame-tree lines, deepest paths nested under their parents."""
+    """The phase tree as aligned lines: header, then paths in pre-order.
+
+    Each root with children is followed by an ``unattributed`` line: the
+    root's self time, which no phase accounts for.
+    """
     flame = span_flame(events)
-    lines = []
-    for path in sorted(flame, key=lambda p: (p.count(" > "), p)):
-        stats = flame[path]
-        depth = path.count(" > ")
-        name = path.rsplit(" > ", 1)[-1]
-        lines.append(
-            f"{'  ' * depth}{name:<12} x{int(stats['count']):<5} "
-            f"total {stats['total'] * 1e3:8.1f} ms   "
-            f"mean {stats['mean'] * 1e3:7.2f} ms   "
-            f"p95 {stats['p95'] * 1e3:7.2f} ms"
-        )
+    if not flame:
+        return []
+    lines = [
+        f"{'phase':<24} {'calls':>6} {'total ms':>10} {'self ms':>10} "
+        f"{'share %':>8} {'self %':>7} {'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8}"
+    ]
+    for root in [path for path in flame if "/" not in path]:
+        subtree = [p for p in flame if p == root or p.startswith(root + "/")]
+        for path in subtree:
+            stats = flame[path]
+            name = "  " * path.count("/") + path.rsplit("/", 1)[-1]
+            lines.append(
+                f"{name:<24} {int(stats['count']):6d} "
+                f"{stats['total'] * 1e3:10.1f} {stats['self'] * 1e3:10.1f} "
+                f"{100.0 * stats['share']:8.1f} {100.0 * stats['self_share']:7.1f} "
+                f"{stats['p50'] * 1e3:8.2f} {stats['p95'] * 1e3:8.2f} "
+                f"{stats['p99'] * 1e3:8.2f}"
+            )
+        if len(subtree) > 1:
+            stats = flame[root]
+            lines.append(
+                f"{'  unattributed':<24} {'':>6} {'':>10} "
+                f"{stats['self'] * 1e3:10.1f} {'':>8} "
+                f"{100.0 * stats['self_share']:7.1f}"
+            )
     return lines
 
 
@@ -395,7 +408,7 @@ def summarize_trace(
     max_events_per_job: Optional[int] = 8,
     skipped_lines: int = 0,
 ) -> str:
-    """Render the full report: inventory, phases, spans, estimators, jobs."""
+    """Render the full report: inventory, phase tree, estimators, jobs."""
     sections: List[str] = []
 
     sections.append(f"trace summary: {len(events)} events")
@@ -415,40 +428,13 @@ def summarize_trace(
             )
             sections.append(f"unknown event types: {unknown_text}")
 
-    breakdown = phase_breakdown(events)
-    if breakdown:
-        rows = [
-            [
-                phase,
-                int(stats["count"]),
-                stats["total"],
-                stats["mean"] * 1e3,
-                stats["p50"] * 1e3,
-                stats["p95"] * 1e3,
-                stats["p99"] * 1e3,
-                100.0 * stats["share"],
-            ]
-            for phase, stats in sorted(
-                breakdown.items(), key=lambda kv: -kv[1]["total"]
-            )
-        ]
+    tree_lines = render_span_flame(events)
+    if tree_lines:
         sections.append("")
-        sections.append("per-phase time breakdown:")
         sections.append(
-            format_table(
-                [
-                    "phase", "intervals", "total (s)", "mean (ms)",
-                    "p50 (ms)", "p95 (ms)", "p99 (ms)", "share (%)",
-                ],
-                rows,
-            )
+            "phase tree (span events, all intervals; share = % of root time):"
         )
-
-    flame_lines = render_span_flame(events)
-    if flame_lines:
-        sections.append("")
-        sections.append("span flame tree (aggregated across intervals):")
-        sections.extend(flame_lines)
+        sections.extend(tree_lines)
 
     est = estimator_report(events)
     if est["fleet"]:

@@ -59,7 +59,7 @@ EVENT_NODE_CORDONED = "node_cordoned"
 EVENT_NODE_LEASE_RENEWED = "node_lease_renewed"
 #: Recovery replayed a write-ahead intent left by a dead controller.
 EVENT_INTENT_REPLAYED = "intent_replayed"
-#: A causal span closed (``repro.obs.spans``): one timed node of the
+#: A phase closed (``repro.obs.phases``): one timed node of the
 #: per-interval flame tree, carrying ``span_id``/``parent_id``/``name``.
 EVENT_SPAN = "span"
 #: One prediction-vs-reality sample from the §3 estimators

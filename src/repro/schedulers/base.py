@@ -17,13 +17,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.core.allocation import TaskAllocation
 from repro.core.placement import JobLayout
-from repro.obs.registry import (
-    NULL_PROFILER,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    PhaseProfiler,
-)
-from repro.obs.spans import NULL_SPAN_TRACER, SpanTracer
+from repro.obs.phases import NULL_PHASES, Phases
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workloads.job import JobSpec
 from repro.workloads.speed import MODE_SYNC
@@ -159,25 +154,21 @@ class Scheduler(abc.ABC):
     #: instance (the engine and control loop call it automatically).
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry = NULL_REGISTRY
-    profiler: PhaseProfiler = NULL_PROFILER
-    spans: SpanTracer = NULL_SPAN_TRACER
+    phases: Phases = NULL_PHASES
 
     def instrument(
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[PhaseProfiler] = None,
-        spans: Optional[SpanTracer] = None,
+        phases: Optional[Phases] = None,
     ) -> "Scheduler":
         """Attach observability sinks; returns self for chaining."""
         if tracer is not None:
             self.tracer = tracer
         if metrics is not None:
             self.metrics = metrics
-        if profiler is not None:
-            self.profiler = profiler
-        if spans is not None:
-            self.spans = spans
+        if phases is not None:
+            self.phases = phases
         return self
 
     @abc.abstractmethod

@@ -101,9 +101,7 @@ class CompositeScheduler(Scheduler):
         ledger = active_ledger()
         # Allocation works against what is actually free: foreign tenants'
         # pods or background reservations may already occupy the cluster.
-        with self.spans.span("allocate", jobs=len(jobs)), self.profiler.phase(
-            "allocate"
-        ):
+        with self.phases.phase("allocate", jobs=len(jobs)):
             allocations: Dict[str, TaskAllocation] = self.allocation_policy(
                 jobs, cluster.total_available, **self.allocation_kwargs
             )
@@ -119,9 +117,7 @@ class CompositeScheduler(Scheduler):
             for job_id, alloc in allocations.items()
             if alloc.workers >= 1 and alloc.ps >= 1
         ]
-        with self.spans.span("place", requests=len(requests)), self.profiler.phase(
-            "place"
-        ):
+        with self.phases.phase("place", requests=len(requests)):
             placement = self.placement_policy(cluster, requests)
             layouts: Dict[str, JobLayout] = dict(placement.layouts)
             if ledger:

@@ -40,14 +40,8 @@ from repro.obs.ledger import (
     DecisionLedger,
     use_ledger,
 )
-from repro.obs.registry import (
-    NULL_PROFILER,
-    MetricsRegistry,
-    PhaseProfiler,
-    active_registry,
-    use_registry,
-)
-from repro.obs.spans import span_tracer_for
+from repro.obs.phases import phases_for
+from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.timeseries import TimeSeriesDB
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
@@ -218,17 +212,11 @@ class Simulation:
         self._prev_layouts: Dict[str, dict] = {}
 
         # Observability (repro.obs). Both sinks default to off; with no
-        # tracer and no registry the profiler is the shared no-op, so the
-        # hot loop pays only truthiness checks.
+        # tracer and no registry the phase timer is the shared no-op, so
+        # the hot loop pays only truthiness checks.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else active_registry()
-        if self.tracer or self.metrics:
-            self.profiler = PhaseProfiler(self.metrics)
-        else:
-            self.profiler = NULL_PROFILER
-        # Causal span tracing (repro.obs.spans): rides on the event tracer,
-        # so it is exactly as on/off as the tracer itself.
-        self.spans = span_tracer_for(self.tracer)
+        self.phases = phases_for(self.tracer, self.metrics)
         # Prediction-quality telemetry (repro.obs.estimators): on whenever
         # either sink is attached; the null object otherwise.
         if self.tracer or self.metrics:
@@ -260,8 +248,7 @@ class Simulation:
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
-            profiler=self.profiler,
-            spans=self.spans,
+            phases=self.phases,
         )
 
     # -- job lifecycle -----------------------------------------------------------
@@ -423,7 +410,7 @@ class Simulation:
         w, p = allocation.workers, allocation.ps
         overhead = job.scaling_overhead(allocation)
         if job.started and allocation != job.last_allocation:
-            with self.spans.span(
+            with self.phases.phase(
                 "rescale", job_id=job.spec.job_id, overhead=overhead
             ):
                 if self.tracer:
@@ -528,7 +515,6 @@ class Simulation:
     def run(self) -> SimulationResult:
         with use_registry(self.metrics), use_ledger(self.ledger):
             cfg = self.config
-            profiler = self.profiler
             specs = self.specs
             next_idx = 0
             active: Dict[str, RuntimeJob] = {}
@@ -538,7 +524,6 @@ class Simulation:
             now = 0.0
 
             while (next_idx < len(specs) or active) and now <= cfg.max_time:
-                profiler.begin_interval()
                 while next_idx < len(specs) and specs[next_idx].arrival_time <= now:
                     spec = specs[next_idx]
                     active[spec.job_id] = self._admit(spec)
@@ -581,27 +566,25 @@ class Simulation:
         cfg = self.config
         tracer = self.tracer
         metrics = self.metrics
-        profiler = self.profiler
 
         if self._faults:
             self._process_faults(now, active)
 
-        spans = self.spans
+        phases = self.phases
         estimators = self.estimators
-        spans.set_time(now)
+        phases.set_time(now)
         self.ledger.set_time(now)
-        with spans.span("interval", active_jobs=len(active)):
-            with spans.span("fit"), profiler.phase("fit"):
+        with phases.phase("interval", active_jobs=len(active)):
+            with phases.phase("fit"):
                 views = [job.view() for job in active.values()]
-            with profiler.phase("snapshot"):
+            with phases.phase("snapshot"):
                 work_cluster = self.cluster.snapshot()
                 self._reserve_background(work_cluster, now)
                 if self._faults:
                     self._block_down_servers(work_cluster)
-            # The scheduler itself times its "allocate" and "place"
-            # sub-phases through the shared profiler and opens matching
-            # child spans (see CompositeScheduler).
-            with profiler.phase("schedule"):
+            # The scheduler opens its "allocate" and "place" sub-phases on
+            # the shared phase timer (see CompositeScheduler).
+            with phases.phase("schedule"):
                 decision = self.scheduler.schedule(work_cluster, views)
 
             if tracer:
@@ -640,7 +623,7 @@ class Simulation:
                         active[job_id].steps_done + view.remaining_steps,
                     )
 
-            with spans.span("progress"), profiler.phase("progress"):
+            with phases.phase("progress"):
                 nic_shares = self._nic_shares(decision.layouts)
                 for job_id, job in active.items():
                     allocation = decision.allocations.get(job_id)
@@ -707,7 +690,6 @@ class Simulation:
                     running_jobs=len(decision.scheduled_jobs),
                     active_jobs=len(active),
                     pending_jobs=pending_count,
-                    phases=profiler.interval_timings(),
                 )
         if self.timeseries is not None:
             self.timeseries.sample_registry(metrics, now)
@@ -751,7 +733,7 @@ class Simulation:
                 num_scalings=0,
                 chunks_moved=0,
             )
-        phase_timings = self.profiler.summary() or None
+        phase_timings = self.phases.summary() or None
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             jobs=records,

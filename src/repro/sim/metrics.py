@@ -85,9 +85,10 @@ class SimulationResult:
     #: Per-interval allocation audit trail ({job_id: TaskAllocation}),
     #: populated when ``SimConfig.record_decisions`` is on.
     decisions: Optional[List[Dict]] = None
-    #: Cumulative per-phase wall-clock profile of the run
-    #: ({phase: {count, total, mean, max}} in seconds), populated when the
-    #: simulation was handed a tracer or metrics registry (:mod:`repro.obs`).
+    #: Cumulative per-phase wall-clock profile of the run, keyed by phase
+    #: path ({"interval/schedule/allocate": {count, total, self, mean, max}}
+    #: in seconds), populated when the simulation was handed a tracer or
+    #: metrics registry (:mod:`repro.obs.phases`).
     phase_timings: Optional[Dict[str, Dict[str, float]]] = None
 
     def __post_init__(self) -> None:

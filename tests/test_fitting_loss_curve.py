@@ -1,6 +1,7 @@
 """Tests for the Eqn-1 convergence-curve fitter."""
 
 import math
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
@@ -320,8 +321,16 @@ class TestFitProperties:
             return
 
         def objective(coeffs):
-            residual = design @ np.asarray(coeffs[:2]) - y
-            return float(residual @ residual)
+            # Exact arithmetic: near an exact fit, rounding each float
+            # residual (~eps * |y|) moves the sum by more than 1e-12 when the
+            # two coefficient pairs differ only in their last bits.
+            b0, b1 = Fraction(float(coeffs[0])), Fraction(float(coeffs[1]))
+            return float(
+                sum(
+                    (b0 * Fraction(float(ki)) + b1 - Fraction(float(yi))) ** 2
+                    for ki, yi in zip(k, y)
+                )
+            )
 
         # The absolute floor covers exact fits, whose objective is rounding
         # noise: residuals below 1e-10 of ||y||.

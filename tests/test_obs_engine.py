@@ -1,7 +1,7 @@
 """End-to-end observability: a traced 2-job simulation run.
 
 Asserts the event stream a small oracle-mode run produces: the expected
-event sequence per job, the per-interval ticks with phase timings, the
+event sequence per job, the per-interval ticks and their phase spans, the
 metrics counters, and that attaching the sinks does not perturb the
 simulation itself.
 """
@@ -18,6 +18,7 @@ from repro.obs import (
     EVENT_PLACEMENT_DECIDED,
     MetricsRegistry,
     RecordingTracer,
+    span_tree,
 )
 from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, simulate
@@ -91,19 +92,21 @@ class TestTwoJobTrace:
                 assert event["overhead"] >= 0.0
 
     def test_interval_ticks_carry_phase_timings(self, traced):
+        # A tick's phase timings are the span events stamped with its time:
+        # one interval root whose children are the phases.
         _, tracer, _ = traced
         ticks = tracer.of_type(EVENT_INTERVAL_TICK)
         assert ticks
+        roots = {r["time"]: r for r in span_tree(tracer.events)}
+        assert len(roots) == len(ticks)
         for tick in ticks:
             assert tick["active_jobs"] >= 0
-            assert set(tick["phases"]) <= {
-                "fit", "snapshot", "schedule", "allocate", "place", "progress"
-            }
-        busy = [t for t in ticks if t["running_jobs"] > 0]
-        assert busy, "at least one interval should run jobs"
-        for tick in busy:
-            assert {"fit", "snapshot", "schedule", "progress"} <= set(tick["phases"])
-            assert all(v >= 0.0 for v in tick["phases"].values())
+            assert "phases" not in tick
+            root = roots[tick["time"]]
+            assert root["name"] == "interval"
+            children = [c["name"] for c in root["children"]]
+            assert children == ["fit", "snapshot", "schedule", "progress"]
+            assert root["duration"] >= sum(c["duration"] for c in root["children"])
 
     def test_seq_strictly_increasing_and_time_monotone(self, traced):
         _, tracer, _ = traced

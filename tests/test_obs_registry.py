@@ -1,13 +1,15 @@
-"""Tests for repro.obs.registry: metric math, null behaviour, profiler."""
+"""Tests for repro.obs.registry: metric math, null behaviour, phase timing."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.obs import (
-    NULL_PROFILER,
+    EVENT_SPAN,
+    NULL_PHASES,
     NULL_REGISTRY,
     MetricsRegistry,
-    PhaseProfiler,
+    Phases,
+    RecordingTracer,
     active_registry,
     install_registry,
     use_registry,
@@ -87,14 +89,6 @@ class TestRegistry:
         assert snap["gauges"]["b.level"] == 7
         assert snap["histograms"]["c.time"]["count"] == 1
 
-    def test_timer_observes_elapsed_time(self):
-        registry = MetricsRegistry()
-        with registry.timer("phase.test"):
-            pass
-        hist = registry.histogram("phase.test")
-        assert hist.count == 1
-        assert hist.max >= 0.0
-
     def test_bad_bounds_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ConfigurationError):
@@ -109,8 +103,6 @@ class TestNullRegistry:
         NULL_REGISTRY.counter("a").inc(5)
         NULL_REGISTRY.gauge("b").set(1)
         NULL_REGISTRY.histogram("c").observe(2.0)
-        with NULL_REGISTRY.timer("d"):
-            pass
         assert NULL_REGISTRY.snapshot() == {}
 
 
@@ -146,41 +138,65 @@ class TestActiveRegistry:
 
 
 class TestPhaseProfiler:
+    """Phases as a phase profiler: per-path totals and histograms."""
+
     def test_interval_timings_reset_per_interval(self):
-        profiler = PhaseProfiler(MetricsRegistry())
-        profiler.begin_interval()
-        with profiler.phase("fit"):
-            pass
-        with profiler.phase("schedule"):
-            pass
-        first = profiler.interval_timings()
-        assert set(first) == {"fit", "schedule"}
-        profiler.begin_interval()
-        assert profiler.interval_timings() == {}
+        # Per-interval durations ride on span events stamped with the
+        # interval time, so each interval reports only its own phases.
+        tracer = RecordingTracer()
+        phases = Phases(tracer)
+        for now in (0.0, 600.0):
+            phases.set_time(now)
+            with phases.phase("interval"):
+                with phases.phase("fit"):
+                    pass
+                if now:
+                    with phases.phase("schedule"):
+                        pass
+        by_time = {}
+        for event in tracer.events:
+            if event["event"] == EVENT_SPAN:
+                by_time.setdefault(event["time"], []).append(event["name"])
+        assert by_time == {
+            0.0: ["fit", "interval"],
+            600.0: ["fit", "schedule", "interval"],
+        }
 
     def test_summary_accumulates_across_intervals(self):
-        profiler = PhaseProfiler(MetricsRegistry())
-        for _ in range(3):
-            profiler.begin_interval()
-            with profiler.phase("fit"):
-                pass
-        summary = profiler.summary()
-        assert summary["fit"]["count"] == 3
-        assert summary["fit"]["total"] >= 0.0
-        assert summary["fit"]["max"] <= summary["fit"]["total"] + 1e-12
+        phases = Phases(metrics=MetricsRegistry())
+        for now in range(3):
+            phases.set_time(now)
+            with phases.phase("interval"):
+                with phases.phase("fit"):
+                    pass
+        summary = phases.summary()
+        fit, root = summary["interval/fit"], summary["interval"]
+        assert fit["count"] == root["count"] == 3
+        assert fit["max"] <= fit["total"] + 1e-12
+        assert fit["mean"] == pytest.approx(fit["total"] / 3)
+        # Self time is total minus the children's totals.
+        assert fit["self"] == fit["total"]
+        assert root["self"] == pytest.approx(root["total"] - fit["total"])
+        assert 0.0 <= root["self"] <= root["total"]
 
     def test_phases_feed_registry_histograms(self):
         registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry)
-        profiler.begin_interval()
-        with profiler.phase("place"):
-            pass
-        assert registry.histogram("phase.place").count == 1
+        phases = Phases(metrics=registry)
+        with phases.phase("interval"):
+            with phases.phase("schedule"):
+                with phases.phase("place"):
+                    pass
+        assert registry.histogram("phase.interval/schedule/place").count == 1
+        histograms = {
+            name[len("phase."):]
+            for name in registry.snapshot()["histograms"]
+            if name.startswith("phase.")
+        }
+        assert histograms == set(phases.summary())
 
     def test_null_profiler_is_inert(self):
-        assert not NULL_PROFILER
-        NULL_PROFILER.begin_interval()
-        with NULL_PROFILER.phase("anything"):
+        assert not NULL_PHASES
+        NULL_PHASES.set_time(5.0)
+        with NULL_PHASES.phase("anything"):
             pass
-        assert NULL_PROFILER.interval_timings() == {}
-        assert NULL_PROFILER.summary() == {}
+        assert NULL_PHASES.summary() == {}

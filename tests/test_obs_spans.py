@@ -1,4 +1,4 @@
-"""Tests for repro.obs.spans: causal span tracing and flame trees."""
+"""Tests for repro.obs.phases: nested phases, span events and phase trees."""
 
 import pytest
 
@@ -9,11 +9,13 @@ from repro.faults.crashpoints import CRASH_AFTER_TEARDOWN
 from repro.k8s import APIServer
 from repro.obs import (
     EVENT_SPAN,
-    NULL_SPAN_TRACER,
+    NULL_PHASES,
+    NULL_REGISTRY,
     NULL_TRACER,
+    MetricsRegistry,
+    Phases,
     RecordingTracer,
-    SpanTracer,
-    span_tracer_for,
+    phases_for,
     span_tree,
 )
 from repro.obs.summarize import span_flame
@@ -22,20 +24,55 @@ from repro.schedulers import JobView, make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.workloads import make_job, uniform_arrivals
 
+#: The one tree shape both drivers open (see ``repro.obs.phases``): every
+#: path a traced run may produce.
+SIM_PATHS = {
+    "interval",
+    "interval/fit",
+    "interval/snapshot",
+    "interval/schedule",
+    "interval/schedule/allocate",
+    "interval/schedule/place",
+    "interval/progress",
+    "interval/progress/rescale",
+}
+LOOP_PATHS = {
+    "step",
+    "step/sweep",
+    "step/snapshot",
+    "step/schedule",
+    "step/schedule/allocate",
+    "step/schedule/place",
+    "step/reconcile",
+    "step/reconcile/checkpoint",
+    "step/reconcile/teardown",
+    "step/reconcile/launch",
+}
+
 
 def span_events(tracer):
     return [e for e in tracer.events if e["event"] == EVENT_SPAN]
 
 
+def phase_histograms(metrics):
+    return {
+        name[len("phase."):]
+        for name in metrics.snapshot()["histograms"]
+        if name.startswith("phase.")
+    }
+
+
 class TestSpanTracer:
+    """Phases as a span tracer: ids, parents and span events."""
+
     def test_nesting_assigns_parent_ids(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        spans.set_time(600.0)
-        with spans.span("outer"):
-            with spans.span("inner", detail=1):
+        phases = Phases(tracer)
+        phases.set_time(600.0)
+        with phases.phase("outer"):
+            with phases.phase("inner", detail=1):
                 pass
-            with spans.span("sibling"):
+            with phases.phase("sibling"):
                 pass
         events = span_events(tracer)
         # Children close (and emit) before their parent.
@@ -48,48 +85,78 @@ class TestSpanTracer:
         assert all(e["duration"] >= 0.0 for e in events)
 
     def test_span_ids_unique_and_monotonic(self):
-        spans = SpanTracer(RecordingTracer())
+        phases = Phases(RecordingTracer())
         ids = []
         for _ in range(5):
-            with spans.span("s") as span:
-                ids.append(span.span_id)
+            with phases.phase("s") as phase:
+                ids.append(phase.span_id)
         assert ids == sorted(ids)
         assert len(set(ids)) == 5
 
     def test_exception_still_closes_span(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
+        metrics = MetricsRegistry()
+        phases = Phases(tracer, metrics)
         with pytest.raises(ValueError):
-            with spans.span("outer"):
-                with spans.span("doomed"):
+            with phases.phase("outer"):
+                with phases.phase("doomed"):
                     raise ValueError("boom")
         events = span_events(tracer)
         assert [e["name"] for e in events] == ["doomed", "outer"]
-        assert spans.current is None  # the stack did not corrupt
+        assert phases.current is None  # the stack did not corrupt
+        # The failed phases still count in totals and histograms.
+        assert set(phases.summary()) == {"outer", "outer/doomed"}
+        assert metrics.histogram("phase.outer/doomed").count == 1
 
     def test_null_span_tracer_is_free_and_falsy(self):
-        assert not NULL_SPAN_TRACER
-        with NULL_SPAN_TRACER.span("anything", attr=1):
+        assert not NULL_PHASES
+        # One shared no-op context for every call: nothing allocated.
+        assert NULL_PHASES.phase("a") is NULL_PHASES.phase("b", attr=1)
+        with NULL_PHASES.phase("anything", attr=1):
             pass
-        assert span_tracer_for(None) is NULL_SPAN_TRACER
-        assert span_tracer_for(NULL_TRACER) is NULL_SPAN_TRACER
+        assert NULL_PHASES.current is None
+        assert phases_for(None, None) is NULL_PHASES
+        assert phases_for(NULL_TRACER, NULL_REGISTRY) is NULL_PHASES
 
     def test_live_tracer_gets_live_spans(self):
         tracer = RecordingTracer()
-        spans = span_tracer_for(tracer)
-        assert spans
-        assert isinstance(spans, SpanTracer)
+        phases = phases_for(tracer, None)
+        assert phases and isinstance(phases, Phases)
+        # Metrics alone also time phases, without emitting span events.
+        registry = MetricsRegistry()
+        metrics_only = phases_for(NULL_TRACER, registry)
+        assert metrics_only
+        with metrics_only.phase("fit"):
+            pass
+        assert registry.histogram("phase.fit").count == 1
+        assert not tracer.events
+
+
+class TestPhases:
+    def test_paths_join_names_from_the_root(self):
+        phases = Phases(RecordingTracer())
+        with phases.phase("interval") as root:
+            with phases.phase("schedule"):
+                with phases.phase("allocate") as leaf:
+                    pass
+        assert root.path == "interval"
+        assert leaf.path == "interval/schedule/allocate"
+        assert list(phases.summary()) == [
+            "interval",
+            "interval/schedule",
+            "interval/schedule/allocate",
+        ]
 
 
 class TestSpanTreeReconstruction:
     def test_tree_rebuilt_from_events(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("interval"):
-            with spans.span("fit"):
+        phases = Phases(tracer)
+        with phases.phase("interval"):
+            with phases.phase("fit"):
                 pass
-            with spans.span("progress"):
-                with spans.span("rescale"):
+            with phases.phase("progress"):
+                with phases.phase("rescale"):
                     pass
         roots = span_tree(tracer.events)
         assert len(roots) == 1
@@ -100,9 +167,9 @@ class TestSpanTreeReconstruction:
 
     def test_orphan_spans_promoted_to_roots(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("outer"):
-            with spans.span("inner"):
+        phases = Phases(tracer)
+        with phases.phase("outer"):
+            with phases.phase("inner"):
                 pass
         # Simulate a trace cut before "outer" closed.
         cut = [e for e in tracer.events if e["name"] != "outer"]
@@ -111,31 +178,46 @@ class TestSpanTreeReconstruction:
 
 
 class TestEngineSpans:
-    def run_traced(self, **cfg_kwargs):
+    def run_traced(self, metrics=None):
         tracer = RecordingTracer()
-        simulate(
+        result = simulate(
             Cluster.homogeneous(6, cpu_mem(16, 64)),
             make_scheduler("optimus"),
             uniform_arrivals(num_jobs=4, window=1200, seed=1),
-            SimConfig(seed=3, estimator_mode="oracle", **cfg_kwargs),
+            SimConfig(seed=3, estimator_mode="oracle"),
             tracer=tracer,
+            metrics=metrics,
         )
-        return tracer
+        return tracer, result
 
     def test_engine_emits_phase_chain(self):
-        tracer = self.run_traced()
+        tracer, _ = self.run_traced()
         names = {e["name"] for e in span_events(tracer)}
         assert {"interval", "fit", "allocate", "place", "progress"} <= names
         roots = span_tree(tracer.events)
         assert roots and all(r["name"] == "interval" for r in roots)
         for root in roots:
-            child_names = [c["name"] for c in root["children"]]
-            assert "fit" in child_names
-            assert "allocate" in child_names
-            assert "place" in child_names
+            children = {c["name"]: c for c in root["children"]}
+            assert ["fit", "snapshot", "schedule", "progress"] == list(children)
+            # allocate and place sit under schedule, not under interval.
+            schedule = [c["name"] for c in children["schedule"]["children"]]
+            assert schedule == ["allocate", "place"]
+
+    def test_one_tree_feeds_spans_totals_and_histograms(self):
+        metrics = MetricsRegistry()
+        tracer, result = self.run_traced(metrics=metrics)
+        flame = span_flame(tracer.events)
+        assert set(flame) == set(result.phase_timings)
+        assert set(flame) == phase_histograms(metrics)
+        assert SIM_PATHS - {"interval/progress/rescale"} <= set(flame)
+        assert set(flame) <= SIM_PATHS
+        shares = sum(stats["self_share"] for stats in flame.values())
+        assert shares == pytest.approx(1.0, abs=1e-9)
+        for path, stats in result.phase_timings.items():
+            assert stats["count"] == flame[path]["count"]
 
     def test_parent_child_integrity_whole_run(self):
-        tracer = self.run_traced()
+        tracer, _ = self.run_traced()
         events = span_events(tracer)
         ids = {e["span_id"] for e in events}
         assert len(ids) == len(events)  # no id reuse
@@ -143,11 +225,11 @@ class TestEngineSpans:
             assert event["parent_id"] is None or event["parent_id"] in ids
 
     def test_flame_paths_aggregate(self):
-        tracer = self.run_traced()
+        tracer, _ = self.run_traced()
         flame = span_flame(tracer.events)
         assert "interval" in flame
-        assert "interval > fit" in flame
-        assert flame["interval"]["count"] == flame["interval > fit"]["count"]
+        assert "interval/fit" in flame
+        assert flame["interval"]["count"] == flame["interval/fit"]["count"]
 
     def test_untraced_run_emits_no_spans(self):
         result = simulate(
@@ -219,4 +301,22 @@ class TestDeployLoopSpans:
         assert "teardown" in last_step_spans or "checkpoint" in last_step_spans
         assert last_step_spans.count("step") >= 2
         # The tracer's stack fully unwound: a new loop can span again.
-        assert loop.spans.current is None
+        assert loop.phases.current is None
+
+    def test_two_step_tree_matches_shape(self):
+        tracer = RecordingTracer()
+        metrics = MetricsRegistry()
+        loop = ControlLoop(
+            self.make_api(), make_scheduler("optimus"),
+            tracer=tracer, metrics=metrics,
+        )
+        loop.step(_loop_views({}), progress={"job-a": 0.0})
+        # The second step drops job-a: checkpoint and teardown under
+        # reconcile, next to the first step's launch.
+        loop.step([], progress={"job-a": 1000.0})
+        flame = span_flame(tracer.events)
+        assert set(flame) == LOOP_PATHS
+        assert set(flame) == set(loop.phases.summary())
+        assert set(flame) == phase_histograms(metrics)
+        shares = sum(stats["self_share"] for stats in flame.values())
+        assert shares == pytest.approx(1.0, abs=1e-9)
