@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from repro.cluster import Cluster, cpu_mem
 from repro.common.units import format_duration
+from repro.faults.crashpoints import CRASH_POINTS, RECONCILE_CRASH_POINTS
 from repro.ps import blocks_from_sizes, mxnet_partition, paa_partition
 from repro.report import bar_chart, format_table, result_to_json, sparkline
 from repro.sim import (
@@ -279,132 +280,40 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     named crash point, and/or a node whose heartbeats stop -- recovers
     from the store alone, and checks the §5.5 invariants: convergence to
     the desired layouts, no orphaned pods, node capacity consistent with
-    bound pods, and per-job progress loss bounded by one interval.
+    bound pods, and per-job progress loss bounded by one interval. It then
+    drains the jobs and reports any pod, lease or intent left behind. A
+    scripted crash that never fires fails the drill.
     """
-    from repro.common.errors import ControllerCrashed
-    from repro.deploy import ControlLoop
-    from repro.faults import ControllerCrash, CrashPointInjector
-    from repro.k8s import APIServer
-    from repro.obs import MetricsRegistry, RecordingTracer
-    from repro.schedulers import JobView, make_scheduler
-    from repro.workloads import StepTimeModel, make_job
+    from repro.common.errors import ConfigurationError
+    from repro.deploy.drill import drill_config, run_crash_drill
+    from repro.obs import MetricsRegistry
 
-    models = sorted(MODEL_ZOO)
-    specs = [
-        make_job(
-            models[(i + args.seed) % len(models)], mode="sync", job_id=f"job-{i}"
+    keys = ("jobs", "steps", "servers", "expire_node", "lease_ttl", "crash_point")
+    try:
+        config = drill_config(
+            {key: getattr(args, key) for key in keys}, seed=args.seed, policy=args.scheduler
         )
-        for i in range(args.jobs)
-    ]
-    truths = {s.job_id: StepTimeModel(s.profile, "sync") for s in specs}
-    progress = {s.job_id: 0.0 for s in specs}
-
-    def views():
-        return [
-            JobView(
-                spec=spec,
-                remaining_steps=max(50_000.0 - progress[spec.job_id], 1_000.0),
-                speed=lambda p, w, t=truths[spec.job_id]: t.speed(p, w),
-                observation_count=100,
-            )
-            for spec in specs
-        ]
-
-    api = APIServer()
-    ttl = args.lease_ttl if args.lease_ttl > 0 else None
-    node_names = [f"n{i}" for i in range(args.servers)]
-    for name in node_names:
-        api.register_node(name, cpu_mem(16, 64), lease_ttl=ttl, now=0.0)
-
-    injector = None
-    if args.crash_point:
-        injector = CrashPointInjector([ControllerCrash(args.crash_point)])
-    tracer = RecordingTracer()
+    except ConfigurationError as exc:
+        print(f"drill: {exc}", file=sys.stderr)
+        return 2
     metrics = MetricsRegistry()
-    loop = ControlLoop(
-        api,
-        make_scheduler(args.scheduler),
-        tracer=tracer,
-        metrics=metrics,
-        crash_points=injector,
-    )
-    dead_node = (
-        node_names[args.expire_node]
-        if 0 <= args.expire_node < len(node_names)
-        else None
-    )
-
-    crashes = 0
-    recoveries = 0
-    checkpoint_at_crash: dict = {}
-    for _ in range(args.steps):
-        now = float(loop.step_index)
-        if ttl is not None:
-            for name in node_names:
-                if name == dead_node and now >= 1:
-                    continue  # the "dead" kubelet goes silent after step 0
-                if not api.node(name).cordoned:
-                    loop.heartbeat(name, now)
-        try:
-            loop.step(views(), progress=dict(progress))
-        except ControllerCrashed as exc:
-            crashes += 1
-            checkpoint_at_crash = dict(progress)
-            print(f"[drill] {exc}", file=sys.stderr)
-            loop = ControlLoop(
-                api,
-                make_scheduler(args.scheduler),
-                tracer=tracer,
-                metrics=metrics,
-                start_step=loop.step_index,
-            )
-            recovered = loop.recover()
-            recoveries += 1
-            for job_id, steps in recovered.items():
-                progress[job_id] = max(progress.get(job_id, 0.0), steps)
-            loop.step(views(), progress=dict(progress))
-        for spec in specs:
-            progress[spec.job_id] += 250.0
-
-    # -- invariants --------------------------------------------------------------
-    failures = []
-    pods = api.list_pods()
-    known_jobs = {s.job_id for s in specs}
-    orphans = [p.name for p in pods if p.job_id not in known_jobs]
-    if orphans:
-        failures.append(f"orphaned pods: {orphans}")
-    for node in api.list_nodes():
-        bound = sum(
-            (p.demand for p in pods if p.node == node.name),
-            start=cpu_mem(0, 0),
-        )
-        if dict(node.allocated.items()) != dict(bound.items()):
-            failures.append(
-                f"node {node.name}: allocated {node.allocated} != bound {bound}"
-            )
-    if dead_node is not None and ttl is not None:
-        if not api.node(dead_node).cordoned:
-            failures.append(f"dead node {dead_node} was never cordoned")
-        on_dead = [p.name for p in pods if p.node == dead_node]
-        if on_dead:
-            failures.append(f"pods still on dead node: {on_dead}")
-    if crashes:
-        for job_id, at_crash in checkpoint_at_crash.items():
-            saved = loop.controller.load_checkpoint(job_id)
-            if saved is not None and at_crash - saved > 250.0:
-                failures.append(
-                    f"{job_id}: lost {at_crash - saved:.0f} steps (> 1 interval)"
-                )
+    outcome = run_crash_drill(config, metrics=metrics)
+    for crash in outcome.crashes:
+        print(f"[drill] {crash}", file=sys.stderr)
+    failures = list(outcome.failures)
+    for key, leaked in outcome.leaks.items():
+        if leaked:
+            failures.append(f"{key.replace('_', ' ')} after the drain: {leaked}")
 
     counters = metrics.snapshot()["counters"]
     rows = [
         ["steps run", args.steps],
-        ["controller crashes injected", crashes],
-        ["recoveries", recoveries],
+        ["controller crashes injected", len(outcome.crashes)],
+        ["recoveries", len(outcome.crashes)],
         ["intents replayed", int(counters.get("loop.intents_replayed", 0))],
         ["nodes cordoned", int(counters.get("loop.nodes_cordoned", 0))],
         ["lease renewals", int(counters.get("lease.renewals", 0))],
-        ["pods running", len(pods)],
+        ["pods running", outcome.pods_running],
         ["invariants", "FAIL" if failures else "ok"],
     ]
     if args.json:
@@ -413,10 +322,8 @@ def _cmd_drill(args: argparse.Namespace) -> int:
                 {
                     "summary": {str(k): v for k, v in rows},
                     "failures": failures,
-                    "checkpoints": {
-                        s.job_id: loop.controller.load_checkpoint(s.job_id)
-                        for s in specs
-                    },
+                    "checkpoints": outcome.checkpoints,
+                    "leaks": outcome.leaks,
                 },
                 indent=2,
                 sort_keys=True,
@@ -439,17 +346,19 @@ def _cmd_failover(args: argparse.Namespace) -> int:
     epochs, takeover within 2x the lease TTL, no leaked pods / leases /
     intents. Exit 0 means every invariant held.
     """
-    from repro.deploy.failover import FailoverConfig, run_failover_drill
+    from repro.common.errors import ConfigurationError
+    from repro.deploy.drill import drill_config
+    from repro.deploy.failover import run_failover_drill
 
-    config = FailoverConfig(
-        seed=args.seed,
-        jobs=args.jobs,
-        servers=args.servers,
-        lease_ttl=args.lease_ttl,
-        policy=args.scheduler,
-        crash_point=args.crash_point,
-        kills=args.kills,
-    )
+    keys = ("seed", "jobs", "servers", "lease_ttl", "crash_point", "kills")
+    try:
+        config = drill_config(
+            {"kind": "failover", **{key: getattr(args, key) for key in keys}},
+            policy=args.scheduler,
+        )
+    except ConfigurationError as exc:
+        print(f"failover: {exc}", file=sys.stderr)
+        return 2
     outcome = run_failover_drill(config, trace_out=args.trace_out)
     report = outcome.report or {}
     if args.report_out:
@@ -1201,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     drill.add_argument("--seed", type=int, default=0)
     drill.add_argument(
         "--crash-point",
-        choices=("after_checkpoint", "after_teardown", "mid_launch", "after_launch"),
+        choices=RECONCILE_CRASH_POINTS,
         default=None,
         help="kill the controller once at this reconcile crash point",
     )
@@ -1233,15 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     failover.add_argument(
         "--crash-point",
-        choices=(
-            "mid_step_deposed",
-            "before_campaign",
-            "after_elected",
-            "after_checkpoint",
-            "after_teardown",
-            "mid_launch",
-            "after_launch",
-        ),
+        choices=CRASH_POINTS,
         default=None,
         help="how the leader dies (default: silent death; the election "
         "points script the successor instead)",

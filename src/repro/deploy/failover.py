@@ -5,7 +5,9 @@ The HA counterpart of the crash drill: run a small job fleet through a
 ticks :meth:`~repro.deploy.loop.ControlLoop.standby_tick`, kill the
 leader in one of several ways, and verify the standby takes over --
 deposing the stale reign, replaying intents, and driving the jobs --
-without dual leadership, leaked state, or unfenced stale writes.
+without dual leadership, leaked state, or unfenced stale writes. The job
+fleet, node heartbeats and leak audit are the shared drill harness of
+:mod:`repro.deploy.drill`; the election and kill logic live here.
 
 Kill modes (``FailoverConfig.crash_point``):
 
@@ -31,12 +33,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster import cpu_mem
 from repro.common.errors import (
     ControllerCrashed,
     SimulationError,
     StaleLeaderError,
 )
+from repro.deploy.drill import DrillFleet, DrillNodes, collect_leaks
 from repro.deploy.loop import ControlLoop
 from repro.faults.crashpoints import (
     CRASH_MID_STEP_DEPOSED,
@@ -45,14 +47,12 @@ from repro.faults.crashpoints import (
     CrashPointInjector,
 )
 from repro.k8s.api import APIServer
-from repro.k8s.controller import INTENT_DONE
 from repro.k8s.election import EPOCH_KEY, LeaderElection
 from repro.k8s.kvstore import KVStore
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import EVENT_JOB_ARRIVED, EVENT_RUN_COMPLETED, RecordingTracer, Tracer
-from repro.schedulers import JobView, make_scheduler
+from repro.obs.tracer import EVENT_RUN_COMPLETED, RecordingTracer, Tracer
+from repro.schedulers import make_scheduler
 from repro.soak.checker import CheckerConfig, InvariantChecker
-from repro.workloads import MODEL_ZOO, StepTimeModel, make_job
 
 
 @dataclass(frozen=True)
@@ -125,44 +125,8 @@ def run_failover_drill(
     store = KVStore()
     # Kubelets are not the controller: node registration and heartbeats go
     # through an unfenced API server and keep flowing during failovers.
-    kubelet_api = APIServer(store)
-    node_names = [f"n{i}" for i in range(config.servers)]
-    for name in node_names:
-        kubelet_api.register_node(
-            name, cpu_mem(16, 64), lease_ttl=config.node_lease_ttl, now=0.0
-        )
-
-    models = sorted(MODEL_ZOO)
-    specs = [
-        make_job(
-            models[(i + config.seed) % len(models)],
-            mode="sync",
-            job_id=f"ha-{i}",
-        )
-        for i in range(config.jobs)
-    ]
-    truths = {s.job_id: StepTimeModel(s.profile, "sync") for s in specs}
-    progress = {s.job_id: 0.0 for s in specs}
-    for spec in specs:
-        tracer.emit(
-            EVENT_JOB_ARRIVED,
-            0.0,
-            job_id=spec.job_id,
-            model=spec.model_name,
-            mode=spec.mode,
-            arrival_time=0.0,
-        )
-
-    def views():
-        return [
-            JobView(
-                spec=spec,
-                remaining_steps=max(50_000.0 - progress[spec.job_id], 1_000.0),
-                speed=lambda p, w, t=truths[spec.job_id]: t.speed(p, w),
-                observation_count=100,
-            )
-            for spec in specs
-        ]
+    nodes = DrillNodes(APIServer(store), config.servers, config.node_lease_ttl)
+    fleet = DrillFleet(config.seed, config.jobs, "ha", tracer)
 
     loops: List[ControlLoop] = []
     incarnation = 0
@@ -185,14 +149,6 @@ def run_failover_drill(
         loops.append(loop)
         return loop
 
-    def heartbeat_all(now: float) -> None:
-        for name in node_names:
-            kubelet_api.heartbeat_node(name, now)
-
-    def bump_progress() -> None:
-        for spec in specs:
-            progress[spec.job_id] += 250.0
-
     now = 0.0
     active = controller(start_step=0)
     if active.standby_tick(now) is None:
@@ -203,11 +159,11 @@ def run_failover_drill(
     for wave in range(max(1, config.kills)):
         # -- the reign: leader drives, standby idles ------------------------------
         for _ in range(config.steps_before):
-            heartbeat_all(now)
+            nodes.heartbeat(now)
             if standby.standby_tick(now) is not None:
                 raise SimulationError("standby won against a live leader")
-            active.step(views(), progress=dict(progress))
-            bump_progress()
+            active.step(fleet.views(), progress=dict(fleet.progress))
+            fleet.advance()
             now += 1.0
         # -- the kill -------------------------------------------------------------
         point = config.crash_point
@@ -216,15 +172,15 @@ def run_failover_drill(
             # vacancy opens immediately and the reconcile writes are
             # fenced. The zombie then tries to drain -- fenced again.
             active.crash_points = CrashPointInjector([ControllerCrash(point)])
-            heartbeat_all(now)
+            nodes.heartbeat(now)
             standby.standby_tick(now)
             try:
-                active.step(views(), progress=dict(progress))
+                active.step(fleet.views(), progress=dict(fleet.progress))
                 raise SimulationError("a severed leader's step must be fenced")
             except StaleLeaderError:
                 pass
             try:
-                active.drain(progress=dict(progress))
+                active.drain(progress=dict(fleet.progress))
             except StaleLeaderError:
                 pass  # the post-mortem write bounced, as it must
             lease_expiry = now
@@ -240,22 +196,22 @@ def run_failover_drill(
             active.controller.crash_points = CrashPointInjector(
                 [ControllerCrash(point)]
             )
-            victim = specs[wave % len(specs)].job_id
+            victim = fleet.job_ids[wave % len(fleet.job_ids)]
             crashed = False
             for attempt in range(4):
-                heartbeat_all(now)
+                nodes.heartbeat(now)
                 standby.standby_tick(now)
                 step_views = [
                     view
-                    for view in views()
+                    for view in fleet.views()
                     if attempt % 2 == 1 or view.spec.job_id != victim
                 ]
                 try:
-                    active.step(step_views, progress=dict(progress))
+                    active.step(step_views, progress=dict(fleet.progress))
                 except ControllerCrashed:
                     crashed = True
                     break
-                bump_progress()
+                fleet.advance()
                 now += 1.0
             if not crashed:
                 raise SimulationError(f"crash point {point!r} never fired")
@@ -278,7 +234,7 @@ def run_failover_drill(
                 raise SimulationError(
                     f"no takeover within {guard} steps (wave {wave})"
                 )
-            heartbeat_all(now)
+            nodes.heartbeat(now)
             try:
                 recovered = standby.standby_tick(now)
             except ControllerCrashed:
@@ -292,49 +248,35 @@ def run_failover_drill(
                 recovered = None
             if recovered is None:
                 now += 1.0
-        for job_id, saved in recovered.items():
-            progress[job_id] = max(progress.get(job_id, 0.0), saved)
+        fleet.restore(recovered)
         active = standby
         # First post-recovery schedule: this step completing is the far
         # edge of the takeover-latency window.
-        active.step(views(), progress=dict(progress))
+        active.step(fleet.views(), progress=dict(fleet.progress))
         takeover_latencies.append(now - lease_expiry)
-        bump_progress()
+        fleet.advance()
         now += 1.0
         standby = controller(start_step=int(now))
 
     # -- steady state under the final leader, then shutdown ----------------------
     for _ in range(config.steps_after):
-        heartbeat_all(now)
+        nodes.heartbeat(now)
         standby.standby_tick(now)
-        active.step(views(), progress=dict(progress))
-        bump_progress()
+        active.step(fleet.views(), progress=dict(fleet.progress))
+        fleet.advance()
         now += 1.0
-    active.drain(progress=dict(progress))
+    active.drain(progress=dict(fleet.progress))
     active.election.resign(now)
 
     # -- leak accounting (through the unfenced kubelet view) ----------------------
-    leaked_pods = sorted(p.name for p in kubelet_api.list_pods())
-    leaked_intents = sorted(
-        job_id
-        for job_id, intent in active.controller.list_intents().items()
-        if intent.phase != INTENT_DONE
+    leaks = collect_leaks(
+        nodes, active.controller, elections=[loop.election for loop in loops]
     )
-    leaked_leases = []
-    for name in node_names:
-        lease_id = kubelet_api.node(name).lease_id
-        kubelet_api.remove_node(name)
-        if lease_id is not None and store.has_lease(lease_id):
-            leaked_leases.append(f"{name}:{lease_id}")
-    for loop in loops:
-        election = loop.election
-        if election._lease_id is not None and store.has_lease(election._lease_id):
-            leaked_leases.append(f"election:{election.candidate}")
     fenced_writes = sum(
         getattr(loop.api.store, "fenced_writes", 0) for loop in loops
     )
     final_epoch = int(store.get(EPOCH_KEY) or 0)
-    job_ids = [s.job_id for s in specs]
+    job_ids = fleet.job_ids
 
     checker = None
     report = None
@@ -344,9 +286,7 @@ def run_failover_drill(
             now,
             finished=[],
             unfinished=job_ids,
-            leaked_pods=leaked_pods,
-            leaked_leases=sorted(leaked_leases),
-            leaked_intents=leaked_intents,
+            **leaks,
         )
     events = list(getattr(tracer, "events", []))
     if own_tracer:
@@ -382,9 +322,7 @@ def run_failover_drill(
         takeover_latencies=takeover_latencies,
         fenced_writes=fenced_writes,
         final_epoch=final_epoch,
-        leaked_pods=leaked_pods,
-        leaked_leases=sorted(leaked_leases),
-        leaked_intents=leaked_intents,
+        **leaks,
         events=events,
         checker=checker,
         report=report,

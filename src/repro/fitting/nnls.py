@@ -84,24 +84,36 @@ def nnls(
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)  # the "P" set
+    # Coordinates whose positive dual entry is roundoff: adding one leaves
+    # it non-positive in the passive solve, so x would not move and the
+    # same coordinate would be picked again forever. They sit out until x
+    # changes (the Lawson–Hanson safeguard).
+    rejected = np.zeros(n, dtype=bool)
     w = A.T @ (b - A @ x)
 
     outer = 0
-    while (not passive.all()) and np.any(w[~passive] > tol):
+    while np.any(w[~passive & ~rejected] > tol):
         outer += 1
         if outer > max_iter:
             raise FittingError(f"NNLS failed to converge in {max_iter} iterations")
         # Bring the most promising coordinate into the passive set.
-        candidates = np.where(~passive)[0]
+        candidates = np.where(~passive & ~rejected)[0]
         j = candidates[int(np.argmax(w[candidates]))]
         passive[j] = True
 
         # Inner loop: keep the passive solution strictly feasible.
+        first = True
         while True:
             cols = np.where(passive)[0]
             z_passive, *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)
             z = np.zeros(n)
             z[cols] = z_passive
+            if first and z[j] <= tol:
+                passive[j] = False
+                rejected[j] = True
+                break
+            first = False
+            rejected[:] = False
             if np.all(z[cols] > tol):
                 x = z
                 break

@@ -93,6 +93,20 @@ class TestAgainstScipy:
         assert r_ours == pytest.approx(r_scipy, rel=1e-5, abs=1e-6)
         assert np.all(x_ours >= 0)
 
+    def test_roundoff_dual_does_not_cycle(self):
+        # After the exact fit, column 1's dual entry is positive only by
+        # roundoff; re-adding it every outer step used to exhaust max_iter.
+        A = np.array(
+            [[0.0, 0.0, 0.0, -1.0, 0.0],
+             [-1.875, 3.0, 0.0, 6.0, 0.0],
+             [4.0, 0.0, -0.5, 0.0, 0.0]]
+        )
+        b = np.array([-1.0, 0.0, 0.0])
+        x_ours, r_ours = nnls(A, b)
+        x_scipy, r_scipy = scipy.optimize.nnls(A, b)
+        assert r_ours == pytest.approx(r_scipy, abs=1e-9)
+        assert np.allclose(x_ours, x_scipy, atol=1e-9)
+
     def test_known_regression_instance(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(50, 5))
