@@ -169,7 +169,6 @@ def _simulate(args: argparse.Namespace) -> int:
         if args.checkpoint_interval > 0
         else None,
         ledger_mode=args.ledger,
-        ledger_top_k=args.ledger_top_k,
     )
     cluster = Cluster.homogeneous(args.servers, cpu_mem(16, 80))
 
@@ -514,7 +513,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             ["seed", scenario.seed],
             ["policy", scenario.policy],
             ["jobs finished", f"{sim['finished']}/{sim['jobs']}"],
-            ["makespan (h)", sim["makespan"] / 3600],
+            [
+                "makespan (h)",
+                "n/a" if sim["makespan"] is None else sim["makespan"] / 3600,
+            ],
             ["events checked", stats["events"]],
             ["restarts", stats["restarts"]],
             ["node failures", stats["node_failures"]],
@@ -543,10 +545,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.common.errors import ConfigurationError
     from repro.obs import summarize_file
 
     limit = args.max_events_per_job if args.max_events_per_job > 0 else None
-    print(summarize_file(files[0], max_events_per_job=limit))
+    try:
+        print(summarize_file(files[0], max_events_per_job=limit, strict=args.strict))
+    except ConfigurationError as exc:  # --strict met a corrupt line
+        print(f"trace: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -789,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="scheduler",
         default=None,
         help="registered policy name or '<alloc>+<place>' hybrid "
-        "(default honours REPRO_POLICY, else optimus)",
+        "(default: optimus)",
     )
     simulate_cmd.add_argument("--jobs", type=int, default=9)
     simulate_cmd.add_argument("--servers", type=int, default=13)
@@ -860,12 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision-ledger fidelity (repro.obs.ledger): auto follows "
         "--trace-out, full records every grant/denial, sampled keeps the "
         "top-K grants per round plus aggregate counters",
-    )
-    simulate_cmd.add_argument(
-        "--ledger-top-k",
-        type=int,
-        default=8,
-        help="grants kept per allocation round in sampled mode (default: 8)",
     )
     simulate_cmd.add_argument(
         "--metrics-out",
@@ -964,6 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="diff mode: show at most this many divergent jobs (0 = all)",
+    )
+    trace_cmd.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on corrupt lines instead of skipping them",
     )
     trace_cmd.set_defaults(func=_cmd_trace)
 

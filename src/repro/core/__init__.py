@@ -11,7 +11,6 @@ The scheduler classes assembling these live in :mod:`repro.schedulers`.
 from repro.core.allocation import (
     AllocationRequest,
     AllocationResult,
-    Grant,
     TaskAllocation,
     allocate,
     estimated_time,
@@ -33,7 +32,6 @@ __all__ = [
     "SpeedEstimator",
     "AllocationRequest",
     "AllocationResult",
-    "Grant",
     "TaskAllocation",
     "allocate",
     "estimated_time",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -79,16 +79,6 @@ class AllocationRequest:
 
 
 @dataclass(frozen=True)
-class Grant:
-    """One greedy step: which job received which task kind, at what gain."""
-
-    job_id: str
-    kind: str  # "worker" or "ps"
-    gain: float
-    allocation_after: TaskAllocation
-
-
-@dataclass(frozen=True)
 class AllocationResult:
     """The outcome of one allocation round."""
 
@@ -99,10 +89,6 @@ class AllocationResult:
     stop_reason: str
     #: Resources left unallocated.
     leftover: ResourceVector
-    #: The greedy grant sequence, populated when ``allocate(trace=True)`` --
-    #: gains are non-increasing up to priority effects, which makes
-    #: decisions auditable ("why did job X get 12 tasks?").
-    grants: Tuple[Grant, ...] = ()
 
 
 def _safe_speed(fn: SpeedFn, p: int, w: int) -> float:
@@ -268,8 +254,6 @@ def _marginal_gain(
 def allocate(
     requests: Iterable[AllocationRequest],
     capacity: ResourceVector,
-    max_total_tasks: Optional[int] = None,
-    trace: bool = False,
 ) -> AllocationResult:
     """Run one §4.1 allocation round over the active jobs.
 
@@ -281,8 +265,6 @@ def allocate(
     capacity:
         Total cluster capacity (constraint (7) is aggregate; fragmentation
         is the placement algorithm's problem, §4.2).
-    max_total_tasks:
-        Optional safety valve on the number of greedy grants.
 
     Returns
     -------
@@ -389,9 +371,6 @@ def allocate(
         push(job_id)
 
     granted = 0
-    stop_reason = "gains"
-    grant_log: List[Grant] = []
-    limit = max_total_tasks if max_total_tasks is not None else 10_000_000
     while heap:
         neg_gain, _, job_id, kind, version, t_worker, t_ps = heapq.heappop(heap)
         if versions[job_id] != version:
@@ -447,36 +426,23 @@ def allocate(
                     gain - runner_gain if runner_gain is not None else None
                 ),
             )
-        if trace:
-            grant_log.append(
-                Grant(
-                    job_id=job_id,
-                    kind=kind,
-                    gain=-neg_gain,
-                    allocation_after=alloc,
-                )
-            )
-        if granted >= limit:
-            stop_reason = "capacity"
-            break
         push(job_id)
 
-    if not heap and granted < limit:
-        # Heap drained: either gains went non-positive or nothing else fit.
-        smallest = min(
-            (
-                min(
-                    r.worker_demand.dominant_share(capacity),
-                    r.ps_demand.dominant_share(capacity),
-                )
-                for r in active.values()
-            ),
-            default=0.0,
-        )
-        any_fits = any(
-            fits(r.worker_demand) or fits(r.ps_demand) for r in active.values()
-        )
-        stop_reason = "gains" if any_fits and smallest > 0 else "capacity"
+    # Heap drained: either gains went non-positive or nothing else fit.
+    smallest = min(
+        (
+            min(
+                r.worker_demand.dominant_share(capacity),
+                r.ps_demand.dominant_share(capacity),
+            )
+            for r in active.values()
+        ),
+        default=0.0,
+    )
+    any_fits = any(
+        fits(r.worker_demand) or fits(r.ps_demand) for r in active.values()
+    )
+    stop_reason = "gains" if any_fits and smallest > 0 else "capacity"
 
     if ledger:
         ledger.end_round()
@@ -494,5 +460,4 @@ def allocate(
         starved=tuple(starved),
         stop_reason=stop_reason,
         leftover=capacity - ResourceVector(used),
-        grants=tuple(grant_log),
     )

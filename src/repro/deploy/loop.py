@@ -54,7 +54,6 @@ from repro.obs.estimators import (
 from repro.obs.phases import phases_for
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.tracer import (
-    EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_MISSING,
     EVENT_INTENT_REPLAYED,
     EVENT_INTERVAL_TICK,
@@ -62,7 +61,6 @@ from repro.obs.tracer import (
     EVENT_NODE_CORDONED,
     EVENT_NODE_LEASE_REGRANT,
     EVENT_NODE_LEASE_RENEWED,
-    EVENT_PLACEMENT_DECIDED,
     EVENT_RESCALE_ROLLED_BACK,
     NULL_TRACER,
     Tracer,
@@ -116,8 +114,6 @@ class ControlLoop:
         metrics: Optional[MetricsRegistry] = None,
         crash_points: Optional[CrashPointInjector] = None,
         start_step: int = 0,
-        estimator_drift_window: int = 6,
-        estimator_drift_threshold: float = 0.5,
         election: Optional[LeaderElection] = None,
     ):
         self.api = api
@@ -151,18 +147,11 @@ class ControlLoop:
         # observe_completion (the deployment has no ground-truth clock).
         if self.tracer or self.metrics:
             self.estimators: EstimatorTelemetry = EstimatorTelemetry(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                drift_window=estimator_drift_window,
-                drift_threshold=estimator_drift_threshold,
+                tracer=self.tracer, metrics=self.metrics
             )
         else:
             self.estimators = NULL_ESTIMATOR_TELEMETRY
-        self.scheduler.instrument(
-            tracer=self.tracer,
-            metrics=self.metrics,
-            phases=self.phases,
-        )
+        self.scheduler.phases = self.phases
         # A recovered loop passes the dead predecessor's step index so the
         # shared clock (trace times, lease expiry) stays monotonic.
         self._step_index = int(start_step)
@@ -220,47 +209,14 @@ class ControlLoop:
                 cluster = cluster_from_api(self.api, managed_jobs=managed)
             with phases.phase("schedule"):
                 decision = self.scheduler.schedule(cluster, views)
-
-            if tracer:
-                for job_id, alloc in decision.allocations.items():
-                    tracer.emit(
-                        EVENT_ALLOCATION_DECIDED,
-                        now,
-                        job_id=job_id,
-                        workers=alloc.workers,
-                        ps=alloc.ps,
-                    )
-                for job_id, layout in decision.layouts.items():
-                    tracer.emit(
-                        EVENT_PLACEMENT_DECIDED,
-                        now,
-                        job_id=job_id,
-                        servers=len(layout),
-                        layout={
-                            server: [nw, np_]
-                            for server, (nw, np_) in sorted(layout.items())
-                        },
-                    )
+            # Callers resolve the predictions through observe_speed /
+            # observe_completion as the framework reports back.
+            decision.record(
+                now, views, lambda: progress or {}, tracer, self.estimators
+            )
 
             targets = []
             by_id = {view.job_id: view for view in views}
-            if self.estimators:
-                # What the online models promise for the jobs that will
-                # run; callers resolve through observe_speed /
-                # observe_completion as the framework reports back.
-                done_steps = dict(progress or {})
-                for job_id in decision.scheduled_jobs:
-                    view = by_id[job_id]
-                    alloc = decision.allocations[job_id]
-                    if alloc.workers < 1:
-                        continue
-                    self.estimators.record_speed_prediction(
-                        job_id, view.speed(alloc.ps, alloc.workers)
-                    )
-                    self.estimators.record_total_prediction(
-                        job_id,
-                        done_steps.get(job_id, 0.0) + view.remaining_steps,
-                    )
             for job_id, layout in decision.layouts.items():
                 view = by_id[job_id]
                 targets.append(

@@ -30,7 +30,7 @@ dependencies:
   reports and per-job timelines.
 * :mod:`repro.obs.ledger` -- the scheduler decision ledger: compact
   ``decision`` events (grants with marginal gain and runner-up gap,
-  denial reasons, placement provenance) with a sampling/budget knob;
+  denial reasons, shrinks) with a sampling/budget knob;
   off by default via :data:`NULL_LEDGER`.
 * :mod:`repro.obs.explain` -- replay a ledger into per-job timelines
   (``repro explain``) and align two runs to find the first divergent
@@ -53,7 +53,6 @@ from repro.obs.export import (
     top_state,
 )
 from repro.obs.explain import (
-    describe_decision,
     explain_job,
     explain_trace,
     format_trace_diff,
@@ -93,6 +92,7 @@ from repro.obs.summarize import (
     control_plane_summary,
     decision_summary,
     decision_timeline,
+    describe_decision,
     estimator_report,
     event_type_counts,
     job_timelines,

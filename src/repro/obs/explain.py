@@ -4,8 +4,9 @@ Two consumers of the ``decision`` events the :mod:`repro.obs.ledger`
 writes (plus the outcome events that were already on the stream):
 
 * :func:`explain_job` -- "why did job J end up with 3 workers?": replays
-  one job's grants, denials, placements, shrinks and rescales into a
-  human-readable timeline with reasons and runner-up gaps. This is the
+  one job's grants, denials, shrinks, placements and rescales into a
+  human-readable timeline with reasons and runner-up gaps, each line
+  described by :func:`repro.obs.summarize.describe_event`. This is the
   ``repro explain`` subcommand.
 * :func:`trace_diff` -- "why is OASiS 12% worse on seed 42?": aligns two
   runs of the same workload (different policy or seed), finds the
@@ -15,109 +16,32 @@ writes (plus the outcome events that were already on the stream):
 
 Both work on any trace: full-fidelity ledgers give decision-level
 alignment; traces without ``decision`` events (sampled or off) fall back
-to the coarser ``allocation_decided`` outcomes, so the tools degrade
-rather than fail.
+to the coarser ``allocation_decided`` / ``placement_decided`` outcomes,
+so the tools degrade rather than fail.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.summarize import describe_event
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_DECISION,
     EVENT_JOB_ARRIVED,
     EVENT_JOB_COMPLETED,
     EVENT_JOB_RESCALED,
+    EVENT_PLACEMENT_DECIDED,
 )
 
 #: Events :func:`explain_job` renders, beyond ``decision`` itself.
 _OUTCOME_EVENTS = (
     EVENT_JOB_ARRIVED,
     EVENT_ALLOCATION_DECIDED,
+    EVENT_PLACEMENT_DECIDED,
     EVENT_JOB_RESCALED,
     EVENT_JOB_COMPLETED,
 )
-
-
-def _fmt_gain(value) -> str:
-    try:
-        return f"{float(value):.4g}"
-    except (TypeError, ValueError):
-        return "?"
-
-
-def describe_decision(event: Dict) -> str:
-    """One human-readable line for a ``decision`` event (any ``kind``)."""
-    kind = event.get("kind")
-    if kind == "grant":
-        task = event.get("task", "?")
-        after = f"({event.get('workers', '?')}w, {event.get('ps', '?')}ps)"
-        if task == "bundle":
-            head = f"granted {event.get('workers', '?')}-bundle -> {after}"
-            gain = f"surplus {_fmt_gain(event.get('gain'))}"
-        else:
-            head = f"granted +1 {task} -> {after}"
-            gain = f"gain {_fmt_gain(event.get('gain'))}"
-        parts = [head, gain]
-        if event.get("index") is not None:
-            parts.append(f"grant #{event['index']}")
-        runner = event.get("runner_up")
-        gap = event.get("runner_up_gap")
-        if runner is not None:
-            parts.append(f"runner-up {runner} (gap {_fmt_gain(gap)})")
-        elif gap is not None:
-            parts.append(f"edge over 2nd-best bundle {_fmt_gain(gap)}")
-        if event.get("sampled"):
-            parts.append("sampled")
-        return ", ".join(parts)
-    if kind == "deny":
-        reason = event.get("reason", "?")
-        details = []
-        if event.get("stage"):
-            details.append(f"stage={event['stage']}")
-        if event.get("workers") is not None:
-            details.append(f"at ({event['workers']}w, {event.get('ps', '?')}ps)")
-        if event.get("gain") is not None:
-            details.append(f"gain {_fmt_gain(event['gain'])}")
-        if event.get("shared_shape"):
-            details.append("shape already proven hopeless")
-        suffix = f" ({', '.join(details)})" if details else ""
-        return f"denied: {reason}{suffix}"
-    if kind == "placement":
-        provenance = event.get("provenance", "?")
-        servers = event.get("servers", "?")
-        spill = ", cross-server spill" if event.get("spill") else ""
-        return f"{provenance} placement on {servers} server(s){spill}"
-    if kind == "shrink":
-        req = event.get("requested", ["?", "?"])
-        got = event.get("granted", ["?", "?"])
-        return (
-            f"shrunk to fit fragmentation: ({req[0]}w, {req[1]}ps) -> "
-            f"({got[0]}w, {got[1]}ps)"
-        )
-    return f"decision ({kind})"
-
-
-def _describe_outcome(event: Dict) -> str:
-    kind = event.get("event")
-    if kind == EVENT_JOB_ARRIVED:
-        return f"arrived ({event.get('model', '?')}, {event.get('mode', '?')})"
-    if kind == EVENT_ALLOCATION_DECIDED:
-        return (
-            f"interval allocation: w={event.get('workers')} "
-            f"ps={event.get('ps')}"
-        )
-    if kind == EVENT_JOB_RESCALED:
-        old = event.get("old", ["?", "?"])
-        new = event.get("new", ["?", "?"])
-        return (
-            f"rescaled ({old[0]}, {old[1]}) -> ({new[0]}, {new[1]}), "
-            f"overhead {event.get('overhead', 0):.0f}s"
-        )
-    if kind == EVENT_JOB_COMPLETED:
-        return f"completed after {event.get('steps', 0):.0f} steps"
-    return str(kind)
 
 
 def explain_job(
@@ -145,11 +69,8 @@ def explain_job(
             stamp = f"t={float(time):>10.0f}"
         except (TypeError, ValueError):
             stamp = "t=         ?"
-        if kind == EVENT_DECISION:
-            saw_decisions = True
-            lines.append(f"{stamp}  {describe_decision(event)}")
-        else:
-            lines.append(f"{stamp}  {_describe_outcome(event)}")
+        saw_decisions = saw_decisions or kind == EVENT_DECISION
+        lines.append(f"{stamp}  {describe_event(event)}")
         if kind == EVENT_ALLOCATION_DECIDED:
             final = (event.get("workers"), event.get("ps"))
     if lines:
@@ -207,12 +128,6 @@ def _decision_key(event: Dict) -> Optional[Tuple]:
             )
         if sub == "deny":
             return ("deny", event.get("reason"))
-        if sub == "placement":
-            return (
-                "placement",
-                event.get("provenance"),
-                event.get("servers"),
-            )
         if sub == "shrink":
             return (
                 "shrink",
@@ -222,6 +137,8 @@ def _decision_key(event: Dict) -> Optional[Tuple]:
         return ("decision", sub)
     if kind == EVENT_ALLOCATION_DECIDED:
         return ("alloc", event.get("workers"), event.get("ps"))
+    if kind == EVENT_PLACEMENT_DECIDED:
+        return ("placement", event.get("servers"))
     return None
 
 
@@ -297,9 +214,7 @@ def trace_diff(
                     "time_a": None,
                     "time_b": time_b,
                     "a": None,
-                    "b": describe_decision(ev_b)
-                    if ev_b.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_b),
+                    "b": describe_event(ev_b),
                 }
                 break
             if index >= len(b):
@@ -308,9 +223,7 @@ def trace_diff(
                     "index": index,
                     "time_a": time_a,
                     "time_b": None,
-                    "a": describe_decision(ev_a)
-                    if ev_a.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_a),
+                    "a": describe_event(ev_a),
                     "b": None,
                 }
                 break
@@ -321,12 +234,8 @@ def trace_diff(
                     "index": index,
                     "time_a": time_a,
                     "time_b": time_b,
-                    "a": describe_decision(ev_a)
-                    if ev_a.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_a),
-                    "b": describe_decision(ev_b)
-                    if ev_b.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_b),
+                    "a": describe_event(ev_a),
+                    "b": describe_event(ev_b),
                 }
                 break
         jct_a = jct_b = jct_delta = None

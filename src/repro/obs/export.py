@@ -171,7 +171,7 @@ def top_state(events: Sequence[Dict]) -> Dict:
         "lease_regrants": 0,
         "checkpoints": 0,
     }
-    decisions = {"grants": 0, "denials": 0, "placements": 0, "shrinks": 0}
+    decisions = {"grants": 0, "denials": 0, "shrinks": 0}
 
     def row(job_id: str) -> _JobRow:
         if job_id not in jobs:
@@ -229,8 +229,6 @@ def top_state(events: Sequence[Dict]) -> Dict:
                 decisions["grants"] += 1
             elif dkind == "deny":
                 decisions["denials"] += 1
-            elif dkind == "placement":
-                decisions["placements"] += 1
             elif dkind == "shrink":
                 decisions["shrinks"] += 1
     return {

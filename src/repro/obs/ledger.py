@@ -22,9 +22,6 @@ Record kinds (the ``kind`` field of every ``decision`` event):
   gain went non-positive -- it yielded the auction voluntarily), or
   ``price_rejected`` (the OASiS primal-dual auction priced the job out:
   bundles fit, but no candidate's utility beat its priced cost).
-* ``placement`` -- a job's layout: its ``provenance`` (``fresh``: every
-  layout is derived anew each interval; older traces may also carry
-  ``cache``), its server count, and whether it spills across servers.
 * ``shrink`` -- the placement shrink-retry loop cut an unplaceable
   allocation down until it fit.
 
@@ -33,8 +30,8 @@ Budget / sampling knob (``mode``):
 * ``"full"`` -- every record becomes an event (smoke scale; this is what
   ``repro explain`` replays into a per-job timeline).
 * ``"sampled"`` -- only the top-K grants per round (by gain) become
-  events, flagged ``sampled: true``; denials and placement provenance
-  fold into the ``decision.*`` counters alone. This keeps the ledger's
+  events, flagged ``sampled: true``; denials fold into the
+  ``decision.*`` counters alone. This keeps the ledger's
   overhead flat at 5000-GPU scale, where full fidelity would dominate
   the trace stream.
 * ``"off"`` -- the :data:`NULL_LEDGER`: truthiness-false, so hot paths
@@ -198,25 +195,6 @@ class DecisionLedger:
                 **fields,
             )
 
-    def record_placement(
-        self, job_id: str, provenance: str, servers: int
-    ) -> None:
-        """Record a job's layout: its provenance and server count."""
-        self.metrics.counter(f"decision.placement.{provenance}").inc()
-        spill = servers > 1
-        if spill:
-            self.metrics.counter("decision.placement.spill").inc()
-        if self.mode == "full" and self.tracer:
-            self.tracer.emit(
-                EVENT_DECISION,
-                self._time,
-                kind="placement",
-                job_id=job_id,
-                provenance=provenance,
-                servers=servers,
-                spill=spill,
-            )
-
     def record_shrink(
         self,
         job_id: str,
@@ -263,9 +241,6 @@ class NullDecisionLedger(DecisionLedger):
         pass
 
     def record_denial(self, *args, **kwargs) -> None:
-        pass
-
-    def record_placement(self, *args, **kwargs) -> None:
         pass
 
     def record_shrink(self, *args, **kwargs) -> None:

@@ -14,13 +14,13 @@ Several views are produced from the same event stream:
   no phase accounts for, reported as its own ``unattributed`` line.
 * **Estimator report** -- per-job and fleet speed / loss-curve MAPE and
   bias recomputed from ``estimator_sample`` events, plus drift events.
-* **Decision ledger summary** -- grant / denial / placement-provenance
-  tallies from ``decision`` events (the per-job replay lives in
-  ``repro explain``).
+* **Decision ledger summary** -- grant / denial / shrink tallies from
+  ``decision`` events (the per-job replay lives in ``repro explain``).
 * **Control-plane summary** -- leader elections, depositions, fenced
   writes, node-lease re-grants and checkpoints from the HA events.
 * **Per-job decision timeline** -- every ``job_*`` / ``*_decided`` event
-  for each job in order.
+  for each job in order, each described in one line by
+  :func:`describe_event` (which ``repro explain`` shares).
 
 File reads are *tolerant*: corrupt or truncated JSONL lines are skipped
 and counted, never fatal -- a trace cut short by a crash is precisely the
@@ -28,20 +28,16 @@ one an operator needs to read.
 
 Usage::
 
-    python -m repro.obs.summarize trace.jsonl
-    optimus-repro trace trace.jsonl
+    python -m repro trace trace.jsonl [--strict]
 
 or programmatically through :func:`summarize_trace`.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections import Counter as TallyCounter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.explain import describe_decision
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_RECORDED,
@@ -267,14 +263,13 @@ def estimator_report(events: Sequence[Dict]) -> Dict:
 def decision_summary(events: Sequence[Dict]) -> Dict[str, Dict[str, int]]:
     """Tally ``decision`` ledger events by kind.
 
-    Returns ``{"grants": {task: n}, "denials": {reason: n}, "placements":
-    {provenance: n}, "shrinks": {"shrink": n}, "sampled": {"sampled": n}}``
-    with empty inner dicts when the trace carries no ledger. Unknown
-    decision kinds are ignored (forward compatibility with newer builds).
+    Returns ``{"grants": {task: n}, "denials": {reason: n}, "shrinks":
+    {"shrink": n}, "sampled": {"sampled": n}}`` with empty inner dicts when
+    the trace carries no ledger. Unknown decision kinds are ignored
+    (forward compatibility with newer builds).
     """
     grants: TallyCounter = TallyCounter()
     denials: TallyCounter = TallyCounter()
-    placements: TallyCounter = TallyCounter()
     shrinks = 0
     sampled = 0
     for event in events:
@@ -287,14 +282,11 @@ def decision_summary(events: Sequence[Dict]) -> Dict[str, Dict[str, int]]:
                 sampled += 1
         elif kind == "deny":
             denials[str(event.get("reason", "?"))] += 1
-        elif kind == "placement":
-            placements[str(event.get("provenance", "?"))] += 1
         elif kind == "shrink":
             shrinks += 1
     return {
         "grants": dict(grants),
         "denials": dict(denials),
-        "placements": dict(placements),
         "shrinks": {"shrink": shrinks} if shrinks else {},
         "sampled": {"sampled": sampled} if sampled else {},
     }
@@ -346,8 +338,63 @@ def job_timelines(events: Sequence[Dict]) -> Dict[str, List[Dict]]:
     return timelines
 
 
-def _describe(event: Dict) -> str:
-    kind = event["event"]
+def _fmt_gain(value) -> str:
+    try:
+        return f"{float(value):.4g}"
+    except (TypeError, ValueError):
+        return "?"
+
+
+def describe_decision(event: Dict) -> str:
+    """One human-readable line for a ``decision`` event (any ``kind``)."""
+    kind = event.get("kind")
+    if kind == "grant":
+        task = event.get("task", "?")
+        after = f"({event.get('workers', '?')}w, {event.get('ps', '?')}ps)"
+        if task == "bundle":
+            head = f"granted {event.get('workers', '?')}-bundle -> {after}"
+            gain = f"surplus {_fmt_gain(event.get('gain'))}"
+        else:
+            head = f"granted +1 {task} -> {after}"
+            gain = f"gain {_fmt_gain(event.get('gain'))}"
+        parts = [head, gain]
+        if event.get("index") is not None:
+            parts.append(f"grant #{event['index']}")
+        runner = event.get("runner_up")
+        gap = event.get("runner_up_gap")
+        if runner is not None:
+            parts.append(f"runner-up {runner} (gap {_fmt_gain(gap)})")
+        elif gap is not None:
+            parts.append(f"edge over 2nd-best bundle {_fmt_gain(gap)}")
+        if event.get("sampled"):
+            parts.append("sampled")
+        return ", ".join(parts)
+    if kind == "deny":
+        reason = event.get("reason", "?")
+        details = []
+        if event.get("stage"):
+            details.append(f"stage={event['stage']}")
+        if event.get("workers") is not None:
+            details.append(f"at ({event['workers']}w, {event.get('ps', '?')}ps)")
+        if event.get("gain") is not None:
+            details.append(f"gain {_fmt_gain(event['gain'])}")
+        if event.get("shared_shape"):
+            details.append("shape already proven hopeless")
+        suffix = f" ({', '.join(details)})" if details else ""
+        return f"denied: {reason}{suffix}"
+    if kind == "shrink":
+        req = event.get("requested", ["?", "?"])
+        got = event.get("granted", ["?", "?"])
+        return (
+            f"shrunk to fit fragmentation: ({req[0]}w, {req[1]}ps) -> "
+            f"({got[0]}w, {got[1]}ps)"
+        )
+    return f"decision ({kind})"
+
+
+def describe_event(event: Dict) -> str:
+    """One human-readable line for any trace event, by its type."""
+    kind = event.get("event")
     if kind == EVENT_JOB_ARRIVED:
         return f"arrived ({event.get('model', '?')}, {event.get('mode', '?')})"
     if kind == EVENT_ALLOCATION_DECIDED:
@@ -392,14 +439,14 @@ def _describe(event: Dict) -> str:
         return f"node lease re-granted: {event.get('server', '?')}"
     if kind == EVENT_DECISION:
         return describe_decision(event)
-    return kind
+    return str(kind)
 
 
 def decision_timeline(events: Sequence[Dict], job_id: str) -> List[str]:
     """Human-readable one-liners for one job's lifecycle."""
     lines = []
     for event in job_timelines(events).get(job_id, []):
-        lines.append(f"t={event['time']:>10.0f}  {_describe(event)}")
+        lines.append(f"t={event['time']:>10.0f}  {describe_event(event)}")
     return lines
 
 
@@ -490,12 +537,6 @@ def summarize_trace(
                 for reason, count in sorted(decisions["denials"].items())
             )
             sections.append(f"  denials: {denials_text}")
-        if decisions["placements"]:
-            placements_text = ", ".join(
-                f"{prov}={count}"
-                for prov, count in sorted(decisions["placements"].items())
-            )
-            sections.append(f"  placements: {placements_text}")
         if decisions["shrinks"]:
             sections.append(f"  shrinks: {decisions['shrinks']['shrink']}")
         sections.append(
@@ -534,43 +575,23 @@ def summarize_trace(
                 if event["event"].startswith("..."):
                     sections.append(f"  {event['event']}")
                 else:
-                    sections.append(f"  t={event['time']:>10.0f}  {_describe(event)}")
+                    sections.append(
+                        f"  t={event['time']:>10.0f}  {describe_event(event)}"
+                    )
     return "\n".join(sections)
 
 
-def summarize_file(path: str, max_events_per_job: Optional[int] = 8) -> str:
-    """Read a JSONL trace file (tolerantly) and render its report."""
+def summarize_file(
+    path: str, max_events_per_job: Optional[int] = 8, strict: bool = False
+) -> str:
+    """Read a JSONL trace file and render its report.
+
+    Reads are tolerant (corrupt lines skipped and counted) unless
+    *strict*, which fails on the first corrupt line instead.
+    """
+    if strict:
+        return summarize_trace(read_trace(path), max_events_per_job)
     events, skipped = read_trace_tolerant(path)
     return summarize_trace(
         events, max_events_per_job, skipped_lines=skipped
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.summarize",
-        description="Summarise a JSONL trace produced by --trace-out.",
-    )
-    parser.add_argument("trace", help="path to the .jsonl trace file")
-    parser.add_argument(
-        "--max-events-per-job",
-        type=int,
-        default=8,
-        help="truncate each job's timeline to this many events (0 = no limit)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on corrupt lines instead of skipping them",
-    )
-    args = parser.parse_args(argv)
-    limit = args.max_events_per_job if args.max_events_per_job > 0 else None
-    if args.strict:
-        print(summarize_trace(read_trace(args.trace), max_events_per_job=limit))
-    else:
-        print(summarize_file(args.trace, max_events_per_job=limit))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

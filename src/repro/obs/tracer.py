@@ -83,8 +83,7 @@ EVENT_WRITE_FENCED = "write_fenced"
 EVENT_NODE_LEASE_REGRANT = "node_lease_regrant"
 #: One scheduler decision record from the :mod:`repro.obs.ledger`: a
 #: marginal-gain grant (with runner-up and gap), a per-job denial with its
-#: reason, a placement note (provenance, server count, spill), or
-#: a shrink-retry record. ``kind`` discriminates the sub-record.
+#: reason, or a shrink-retry record. ``kind`` discriminates the sub-record.
 EVENT_DECISION = "decision"
 #: Terminal accounting record emitted once by a soak/simulation runner:
 #: which jobs finished, which are legitimately unfinished, and any state

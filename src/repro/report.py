@@ -114,16 +114,22 @@ def _numeric(cell: str) -> bool:
         return False
 
 
+def json_summary(result) -> Dict:
+    """``result.summary()`` ready for strict JSON: a value that is infinite
+    because some job never finished (makespan, average JCT) becomes null."""
+    return {
+        k: (None if isinstance(v, float) and math.isinf(v) else v)
+        for k, v in result.summary().items()
+    }
+
+
 def result_to_dict(result) -> Dict:
     """A JSON-ready dictionary of a :class:`~repro.sim.SimulationResult`."""
     return {
         "scheduler": result.scheduler_name,
         "seed": result.seed,
         "interval": result.interval,
-        "summary": {
-            k: (None if isinstance(v, float) and math.isinf(v) else v)
-            for k, v in result.summary().items()
-        },
+        "summary": json_summary(result),
         "jobs": [
             {
                 "job_id": record.job_id,

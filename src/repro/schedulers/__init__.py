@@ -32,10 +32,8 @@ from repro.schedulers.policies import (
 from repro.schedulers.registry import (
     ALLOCATION_REGISTRY,
     PLACEMENT_REGISTRY,
-    POLICY_ENV_VAR,
     SCHEDULER_REGISTRY,
     available_policies,
-    default_policy,
     register_allocation,
     register_placement,
     register_scheduler,
@@ -62,9 +60,7 @@ __all__ = [
     "ALLOCATION_REGISTRY",
     "PLACEMENT_REGISTRY",
     "SCHEDULER_REGISTRY",
-    "POLICY_ENV_VAR",
     "available_policies",
-    "default_policy",
     "register_scheduler",
     "register_allocation",
     "register_placement",

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.allocation import TaskAllocation
 from repro.core.placement import JobLayout
+from repro.obs.estimators import EstimatorTelemetry
 from repro.obs.phases import NULL_PHASES, Phases
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import (
+    EVENT_ALLOCATION_DECIDED,
+    EVENT_PLACEMENT_DECIDED,
+    Tracer,
+)
 from repro.workloads.job import JobSpec
 from repro.workloads.speed import MODE_SYNC
 
@@ -142,6 +146,60 @@ class SchedulingDecision:
                     f"!= allocation ({alloc.workers}, {alloc.ps})"
                 )
 
+    def record(
+        self,
+        now: float,
+        views: Sequence[JobView],
+        steps_done: Callable[[], Mapping[str, float]],
+        tracer: Tracer,
+        estimators: EstimatorTelemetry,
+    ) -> None:
+        """Record this decision once; the simulator and the deploy loop both
+        call this right after :meth:`Scheduler.schedule`.
+
+        Emits ``allocation_decided`` then ``placement_decided`` per job and,
+        with estimator telemetry on, what the §3 models promise for every
+        job that will run: its speed under the granted allocation and its
+        total steps (``steps_done()[job] + remaining_steps``), to be scored
+        against what the job then does (Fig. 6). *steps_done* is only
+        called when telemetry is on, so untraced runs build nothing.
+        """
+        if tracer:
+            for job_id, alloc in self.allocations.items():
+                tracer.emit(
+                    EVENT_ALLOCATION_DECIDED,
+                    now,
+                    job_id=job_id,
+                    workers=alloc.workers,
+                    ps=alloc.ps,
+                )
+            for job_id, layout in self.layouts.items():
+                tracer.emit(
+                    EVENT_PLACEMENT_DECIDED,
+                    now,
+                    job_id=job_id,
+                    servers=len(layout),
+                    layout={
+                        server: [nw, np_]
+                        for server, (nw, np_) in sorted(layout.items())
+                    },
+                )
+        if not estimators:
+            return
+        done = steps_done()
+        by_id = {view.job_id: view for view in views}
+        for job_id in self.scheduled_jobs:
+            alloc = self.allocations[job_id]
+            if alloc.workers < 1:
+                continue
+            view = by_id[job_id]
+            estimators.record_speed_prediction(
+                job_id, view.speed(alloc.ps, alloc.workers)
+            )
+            estimators.record_total_prediction(
+                job_id, done.get(job_id, 0.0) + view.remaining_steps
+            )
+
 
 class Scheduler(abc.ABC):
     """Base class: one :meth:`schedule` call per scheduling interval."""
@@ -149,27 +207,10 @@ class Scheduler(abc.ABC):
     #: Human-readable name used in reports and plots.
     name: str = "scheduler"
 
-    #: Observability hooks -- no-op class-level defaults so schedulers stay
-    #: zero-cost when uninstrumented; :meth:`instrument` overrides them per
-    #: instance (the engine and control loop call it automatically).
-    tracer: Tracer = NULL_TRACER
-    metrics: MetricsRegistry = NULL_REGISTRY
+    #: The phase timer :meth:`schedule` opens its sub-phases on: the no-op
+    #: default until a driver (the simulator, the control loop) assigns its
+    #: own per instance.
     phases: Phases = NULL_PHASES
-
-    def instrument(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        phases: Optional[Phases] = None,
-    ) -> "Scheduler":
-        """Attach observability sinks; returns self for chaining."""
-        if tracer is not None:
-            self.tracer = tracer
-        if metrics is not None:
-            self.metrics = metrics
-        if phases is not None:
-            self.phases = phases
-        return self
 
     @abc.abstractmethod
     def schedule(

@@ -120,9 +120,6 @@ class CompositeScheduler(Scheduler):
         with self.phases.phase("place", requests=len(requests)):
             placement = self.placement_policy(cluster, requests)
             layouts: Dict[str, JobLayout] = dict(placement.layouts)
-            if ledger:
-                for job_id, layout in placement.layouts.items():
-                    ledger.record_placement(job_id, "fresh", len(layout))
             final_allocations = {
                 job_id: alloc
                 for job_id, alloc in allocations.items()
@@ -169,15 +166,9 @@ class CompositeScheduler(Scheduler):
                     if job_id in result.layouts:
                         layouts[job_id] = result.layouts[job_id]
                         final_allocations[job_id] = TaskAllocation(workers, ps)
-                        if ledger:
-                            if (workers, ps) != (alloc.workers, alloc.ps):
-                                ledger.record_shrink(
-                                    job_id,
-                                    (alloc.workers, alloc.ps),
-                                    (workers, ps),
-                                )
-                            ledger.record_placement(
-                                job_id, "fresh", len(layouts[job_id])
+                        if ledger and (workers, ps) != (alloc.workers, alloc.ps):
+                            ledger.record_shrink(
+                                job_id, (alloc.workers, alloc.ps), (workers, ps)
                             )
                         break
                     if (workers, ps) == (1, 1):
@@ -262,6 +253,6 @@ def make_scheduler(name: Optional[str] = None, **kwargs) -> Scheduler:
     ``srtf``, ``goodput``, ``oasis``, ...) resolve directly; any other name
     is parsed as ``"<allocation>+<placement>"`` for ablation hybrids, e.g.
     ``"drf+optimus"`` is DRF allocation with Optimus placement (Fig. 18).
-    ``None`` honours the ``REPRO_POLICY`` environment variable.
+    ``None`` gives ``optimus``.
     """
     return resolve_scheduler(name, **kwargs)

@@ -26,20 +26,13 @@ Modules register their policies at import time (see
 :mod:`repro.schedulers.oasis`); importing :mod:`repro.schedulers` loads all
 built-ins. Lookups of unknown names raise :class:`SchedulingError` listing
 the registered alternatives -- never a bare :class:`KeyError`.
-
-The ``REPRO_POLICY`` environment variable overrides the *default* policy
-name (the one used when a caller passes ``None``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.errors import SchedulingError
-
-#: Environment variable naming the default scheduler policy.
-POLICY_ENV_VAR = "REPRO_POLICY"
 
 #: Named scheduler factories: ``factory(**kwargs) -> Scheduler``.
 SCHEDULER_REGISTRY: Dict[str, Callable] = {}
@@ -127,22 +120,16 @@ def resolve_placement(name: str) -> Callable:
     return _lookup("placement", name)
 
 
-def default_policy(fallback: str = "optimus") -> str:
-    """The default scheduler name: ``$REPRO_POLICY`` if set, else *fallback*."""
-    return os.environ.get(POLICY_ENV_VAR) or fallback
-
-
 def resolve_scheduler(name: Optional[str] = None, **kwargs):
     """Build a scheduler from a registered name or an ``alloc+place`` spec.
 
-    ``None`` resolves to :func:`default_policy` (honouring the
-    ``REPRO_POLICY`` environment variable). Names containing ``+`` are
+    ``None`` resolves to ``optimus``. Names containing ``+`` are
     parsed as ``"<allocation>+<placement>"`` ablation hybrids (Fig. 18/19),
     with both halves resolved through their registries. Unknown names raise
     :class:`SchedulingError` listing every registered alternative.
     """
     if name is None:
-        name = default_policy()
+        name = "optimus"
     factory = SCHEDULER_REGISTRY.get(name)
     if factory is not None:
         return factory(**kwargs)

@@ -47,7 +47,6 @@ from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import (
-    EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_RECORDED,
     EVENT_INTERVAL_TICK,
     EVENT_JOB_ARRIVED,
@@ -56,7 +55,6 @@ from repro.obs.tracer import (
     EVENT_JOB_RESTARTED,
     EVENT_NODE_FAILED,
     EVENT_NODE_RECOVERED,
-    EVENT_PLACEMENT_DECIDED,
     EVENT_STRAGGLER_DETECTED,
     EVENT_TASK_CRASHED,
     NULL_TRACER,
@@ -71,6 +69,20 @@ from repro.sim.stragglers import (
     effective_interval_speed,
 )
 from repro.workloads.job import JobSpec
+
+#: Per-container network bandwidth (bytes/s) for the speed ground truth:
+#: the testbed's 1 GbE NIC.
+BANDWIDTH = 125e6
+#: The §5.4 checkpoint cost charged on every (re)configuration.
+SCALING_COSTS = ScalingCosts()
+#: Loss observations fed to the estimator per job per interval.
+LOSS_POINTS_PER_INTERVAL = 30
+#: Multiplicative noise on measured interval speeds.
+SPEED_NOISE_STD = 0.03
+#: Profiling pre-runs per job (§6.1 uses 5).
+BOOTSTRAP_SAMPLES = 5
+#: Bytes per training example, for sizing the HDFS files (§5.1).
+EXAMPLE_BYTES = 3072
 
 
 @dataclass(frozen=True)
@@ -88,27 +100,10 @@ class SimConfig:
     stragglers: StragglerConfig = field(default_factory=StragglerConfig)
     #: Parameter partitioner governing PS load balance: "paa" or "mxnet".
     partition_algorithm: str = "paa"
-    #: Feed each job's placement into the ground-truth speed (Fig. 10).
-    placement_aware: bool = True
-    #: Charge §5.4 checkpoint costs on (re)configuration.
-    scaling_costs: ScalingCosts = field(default_factory=ScalingCosts)
-    #: Per-container network bandwidth (bytes/s) for the speed ground truth.
-    bandwidth: float = 125e6
-    #: Loss observations fed to the estimator per job per interval.
-    loss_points_per_interval: int = 30
-    #: Multiplicative noise on measured interval speeds.
-    speed_noise_std: float = 0.03
-    #: Profiling pre-runs per job (§6.1 uses 5).
-    bootstrap_samples: int = 5
-    #: Bytes per training example, for sizing the HDFS files (§5.1).
-    example_bytes: int = 3072
     #: Optional background-load profile (t -> reserved capacity fraction):
     #: the non-DL share of the cluster (§7 "Various workloads"). ``None``
     #: gives the DL scheduler the whole cluster.
     background_load: Optional[Callable[[float], float]] = None
-    #: Keep a per-interval audit trail of the scheduler's allocations in
-    #: ``SimulationResult.decisions`` (handy for tests and debugging).
-    record_decisions: bool = False
     #: Stochastic fault rates (node crashes, task crashes, checkpoint loss);
     #: the all-zero default injects nothing and leaves results bit-identical
     #: to a fault-free build.
@@ -123,18 +118,12 @@ class SimConfig:
     #: ``repro.obs.estimators`` drift detector should notice. ``None``
     #: leaves reality untouched.
     speed_perturbation: Optional[Callable[[float], float]] = None
-    #: Drift-detector window (recent predictions per job and signal) and
-    #: MAPE band for the estimator telemetry (see ``repro.obs.estimators``).
-    estimator_drift_window: int = 6
-    estimator_drift_threshold: float = 0.5
     #: Decision-ledger fidelity (see :mod:`repro.obs.ledger`): "auto"
     #: resolves to "full" when a tracer is attached and "off" otherwise;
     #: "sampled" keeps only the top-K grants per round as events (plus the
     #: aggregate counters), which is the fleet-scale budget mode; "off"
     #: disables the ledger even with a tracer.
     ledger_mode: str = "auto"
-    #: Grants kept per allocation round when ``ledger_mode="sampled"``.
-    ledger_top_k: int = 8
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.interval) and self.interval > 0):
@@ -143,14 +132,6 @@ class SimConfig:
             )
         if not self.max_time > 0:  # also rejects NaN
             raise SimulationError(f"max_time must be positive, got {self.max_time}")
-        if not self.speed_noise_std >= 0:
-            raise SimulationError(
-                f"speed_noise_std must be >= 0, got {self.speed_noise_std}"
-            )
-        if self.bootstrap_samples < 2:
-            raise SimulationError(
-                f"bootstrap_samples must be >= 2, got {self.bootstrap_samples}"
-            )
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise SimulationError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}"
@@ -159,16 +140,10 @@ class SimConfig:
             raise SimulationError("partition_algorithm must be 'paa' or 'mxnet'")
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise SimulationError("checkpoint_interval must be positive or None")
-        if self.estimator_drift_window < 2:
-            raise SimulationError("estimator_drift_window must be >= 2")
-        if self.estimator_drift_threshold <= 0:
-            raise SimulationError("estimator_drift_threshold must be positive")
         if self.ledger_mode not in ("auto",) + LEDGER_MODES:
             raise SimulationError(
                 f"ledger_mode must be one of {('auto',) + LEDGER_MODES}"
             )
-        if self.ledger_top_k < 1:
-            raise SimulationError("ledger_top_k must be >= 1")
 
 
 class Simulation:
@@ -221,10 +196,7 @@ class Simulation:
         # either sink is attached; the null object otherwise.
         if self.tracer or self.metrics:
             self.estimators: EstimatorTelemetry = EstimatorTelemetry(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                drift_window=self.config.estimator_drift_window,
-                drift_threshold=self.config.estimator_drift_threshold,
+                tracer=self.tracer, metrics=self.metrics
             )
         else:
             self.estimators = NULL_ESTIMATOR_TELEMETRY
@@ -238,18 +210,11 @@ class Simulation:
             self.ledger: DecisionLedger = NULL_LEDGER
         else:
             self.ledger = DecisionLedger(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                mode=mode,
-                top_k=self.config.ledger_top_k,
+                tracer=self.tracer, metrics=self.metrics, mode=mode
             )
         #: Optional metrics-history sink, sampled once per interval.
         self.timeseries = timeseries
-        self.scheduler.instrument(
-            tracer=self.tracer,
-            metrics=self.metrics,
-            phases=self.phases,
-        )
+        self.scheduler.phases = self.phases
 
     # -- job lifecycle -----------------------------------------------------------
     def _admit(self, spec: JobSpec) -> RuntimeJob:
@@ -257,16 +222,16 @@ class Simulation:
         job = RuntimeJob(
             spec,
             seed=self._seed,
-            bandwidth=cfg.bandwidth,
+            bandwidth=BANDWIDTH,
             partition_algorithm=cfg.partition_algorithm,
             estimator_mode=cfg.estimator_mode,
             convergence_error=cfg.convergence_error,
             speed_error=cfg.speed_error,
-            scaling_costs=cfg.scaling_costs,
+            scaling_costs=SCALING_COSTS,
         )
-        job.attach_data(self._store, example_bytes=cfg.example_bytes)
+        job.attach_data(self._store, example_bytes=EXAMPLE_BYTES)
         if cfg.estimator_mode == "online":
-            job.bootstrap_speed(num_samples=cfg.bootstrap_samples)
+            job.bootstrap_speed(num_samples=BOOTSTRAP_SAMPLES)
         return job
 
     # -- background load (§7) -----------------------------------------------------
@@ -430,12 +395,9 @@ class Simulation:
             return None
 
         imbalance = job.imbalance_factor(p)
+        # The job's placement feeds its ground-truth speed (Fig. 10).
         base_speed = job.truth.speed(
-            p,
-            w,
-            placement=layout if cfg.placement_aware else None,
-            imbalance=imbalance,
-            bandwidths=nic_shares if cfg.placement_aware else None,
+            p, w, placement=layout, imbalance=imbalance, bandwidths=nic_shares
         )
         if cfg.speed_perturbation is not None:
             base_speed *= max(cfg.speed_perturbation(now), 0.0)
@@ -465,10 +427,8 @@ class Simulation:
             job.completion_time = now + overhead + converged_after
 
         if cfg.estimator_mode == "online":
-            job.record_losses(
-                steps_before, job.steps_done, cfg.loss_points_per_interval
-            )
-            noise = 1.0 + self._measure_rng.normal(0.0, cfg.speed_noise_std)
+            job.record_losses(steps_before, job.steps_done, LOSS_POINTS_PER_INTERVAL)
+            noise = 1.0 + self._measure_rng.normal(0.0, SPEED_NOISE_STD)
             job.record_speed(p, w, base_speed * max(noise, 0.05))
         return base_speed
 
@@ -520,7 +480,6 @@ class Simulation:
             active: Dict[str, RuntimeJob] = {}
             done: Dict[str, RuntimeJob] = {}
             timeline: List[TimeSlot] = []
-            decisions: List[Dict[str, TaskAllocation]] = []
             now = 0.0
 
             while (next_idx < len(specs) or active) and now <= cfg.max_time:
@@ -547,11 +506,11 @@ class Simulation:
                     continue
 
                 self._process_interval(
-                    now, active, done, timeline, decisions, len(specs) - next_idx
+                    now, active, done, timeline, len(specs) - next_idx
                 )
                 now += cfg.interval
 
-            return self._finalize(active, done, specs[next_idx:], timeline, decisions)
+            return self._finalize(active, done, specs[next_idx:], timeline)
 
     def _process_interval(
         self,
@@ -559,7 +518,6 @@ class Simulation:
         active: Dict[str, RuntimeJob],
         done: Dict[str, RuntimeJob],
         timeline: List[TimeSlot],
-        decisions: List[Dict[str, TaskAllocation]],
         pending_count: int,
     ) -> None:
         """Run one scheduling interval starting at *now*."""
@@ -586,42 +544,13 @@ class Simulation:
             # the shared phase timer (see CompositeScheduler).
             with phases.phase("schedule"):
                 decision = self.scheduler.schedule(work_cluster, views)
-
-            if tracer:
-                for job_id, alloc in decision.allocations.items():
-                    tracer.emit(
-                        EVENT_ALLOCATION_DECIDED,
-                        now,
-                        job_id=job_id,
-                        workers=alloc.workers,
-                        ps=alloc.ps,
-                    )
-                for job_id, layout in decision.layouts.items():
-                    tracer.emit(
-                        EVENT_PLACEMENT_DECIDED,
-                        now,
-                        job_id=job_id,
-                        servers=len(layout),
-                        layout={
-                            server: [nw, np_]
-                            for server, (nw, np_) in sorted(layout.items())
-                        },
-                    )
-
-            if estimators:
-                # What the online models promised for this interval, to
-                # be scored against what the jobs actually achieve.
-                views_by_id = {view.spec.job_id: view for view in views}
-                for job_id, alloc in decision.allocations.items():
-                    view = views_by_id.get(job_id)
-                    if view is None or alloc.workers < 1:
-                        continue
-                    speed_pred = view.speed(alloc.ps, alloc.workers)
-                    estimators.record_speed_prediction(job_id, speed_pred)
-                    estimators.record_total_prediction(
-                        job_id,
-                        active[job_id].steps_done + view.remaining_steps,
-                    )
+            decision.record(
+                now,
+                views,
+                lambda: {job_id: job.steps_done for job_id, job in active.items()},
+                tracer,
+                estimators,
+            )
 
             with phases.phase("progress"):
                 nic_shares = self._nic_shares(decision.layouts)
@@ -660,8 +589,6 @@ class Simulation:
             timeline.append(
                 self._slot(now, active, dict(decision.allocations))
             )
-            if cfg.record_decisions:
-                decisions.append(dict(decision.allocations))
 
             for job_id in [j for j, job in active.items() if job.completed]:
                 job = active.pop(job_id)
@@ -700,7 +627,6 @@ class Simulation:
         done: Dict[str, RuntimeJob],
         never_admitted: Sequence[JobSpec],
         timeline: List[TimeSlot],
-        decisions: List[Dict[str, TaskAllocation]],
     ) -> SimulationResult:
         cfg = self.config
         done.update(active)  # unfinished jobs (hit max_time) included as such
@@ -740,7 +666,6 @@ class Simulation:
             timeline=timeline,
             interval=cfg.interval,
             seed=cfg.seed,
-            decisions=decisions if cfg.record_decisions else None,
             phase_timings=phase_timings,
         )
 

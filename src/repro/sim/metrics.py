@@ -82,9 +82,6 @@ class SimulationResult:
     timeline: List[TimeSlot]
     interval: float
     seed: int
-    #: Per-interval allocation audit trail ({job_id: TaskAllocation}),
-    #: populated when ``SimConfig.record_decisions`` is on.
-    decisions: Optional[List[Dict]] = None
     #: Cumulative per-phase wall-clock profile of the run, keyed by phase
     #: path ({"interval/schedule/allocate": {count, total, self, mean, max}}
     #: in seconds), populated when the simulation was handed a tracer or

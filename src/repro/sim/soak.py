@@ -54,6 +54,7 @@ from repro.common.rand import RandomSource
 from repro.faults.config import FaultConfig
 from repro.faults.plan import CheckpointLoss, FaultPlan, NodeCrash, TaskCrash
 from repro.obs.tracer import EVENT_RUN_COMPLETED, RecordingTracer
+from repro.report import json_summary
 from repro.sim.engine import SimConfig, simulate
 from repro.sim.manifest import manifest_path_for, run_manifest, write_manifest
 from repro.sim.metrics import SimulationResult
@@ -549,7 +550,7 @@ def run_soak(
     if manifest_path:
         write_manifest(manifest_path, manifest)
 
-    summary = result.summary()
+    summary = json_summary(result)
     report = checker.report(
         extra={
             "scenario": scenario.name,

@@ -11,6 +11,13 @@ from repro.core.allocation import (
     allocate,
     estimated_time,
 )
+from repro.obs import (
+    DecisionLedger,
+    MetricsRegistry,
+    RecordingTracer,
+    use_ledger,
+    use_registry,
+)
 from repro.workloads import MODEL_ZOO, StepTimeModel
 
 DEMAND = cpu_mem(5, 10)
@@ -260,27 +267,42 @@ class TestGreedyQuality:
         assert greedy <= optimal * 1.35 + 1e-9
 
 
+def allocate_with_ledger(requests, capacity):
+    """Run one round under a full decision ledger; return it and its grants."""
+    tracer = RecordingTracer()
+    with use_ledger(DecisionLedger(tracer=tracer)):
+        result = allocate(requests, capacity)
+    grants = [e for e in tracer.of_type("decision") if e["kind"] == "grant"]
+    return result, grants
+
+
 class TestGrantTrace:
     def test_disabled_by_default(self):
-        result = allocate([request("j", 1000, truth_speed())], cpu_mem(40, 80))
-        assert result.grants == ()
+        # No ledger installed: the round still counts its grants, but no
+        # decision record is kept.
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            allocate([request("j", 1e6, truth_speed())], cpu_mem(40, 80))
+        counters = metrics.snapshot()["counters"]
+        assert counters["allocation.grants"] > 0
+        assert not any(name.startswith("decision.") for name in counters)
 
     def test_trace_records_every_grant(self):
-        result = allocate(
-            [request("j", 1e6, truth_speed())], cpu_mem(60, 120), trace=True
+        result, grants = allocate_with_ledger(
+            [request("j", 1e6, truth_speed())], cpu_mem(60, 120)
         )
         # Starter (1, 1) is not a grant; everything beyond it is.
-        assert len(result.grants) == result.allocations["j"].total - 2
-        for grant in result.grants:
-            assert grant.job_id == "j"
-            assert grant.kind in ("worker", "ps")
-            assert grant.gain > 0
+        assert len(grants) == result.allocations["j"].total - 2
+        for grant in grants:
+            assert grant["job_id"] == "j"
+            assert grant["task"] in ("worker", "ps")
+            assert grant["gain"] > 0
 
     def test_allocation_after_is_cumulative(self):
-        result = allocate(
-            [request("j", 1e6, truth_speed())], cpu_mem(60, 120), trace=True
+        result, grants = allocate_with_ledger(
+            [request("j", 1e6, truth_speed())], cpu_mem(60, 120)
         )
-        totals = [g.allocation_after.total for g in result.grants]
+        totals = [g["workers"] + g["ps"] for g in grants]
         assert totals == sorted(totals)
         if totals:
             assert totals[-1] == result.allocations["j"].total
@@ -290,7 +312,7 @@ class TestGrantTrace:
             request("small", 1_000, truth_speed()),
             request("large", 1_000_000, truth_speed()),
         ]
-        result = allocate(requests, cpu_mem(80, 160), trace=True)
+        _, grants = allocate_with_ledger(requests, cpu_mem(80, 160))
         # The very first grant goes to the job with the larger gain -- the
         # large job, whose absolute time reduction dominates.
-        assert result.grants[0].job_id == "large"
+        assert grants[0]["job_id"] == "large"

@@ -2,13 +2,16 @@
 
 Asserts the event stream a small oracle-mode run produces: the expected
 event sequence per job, the per-interval ticks and their phase spans, the
-metrics counters, and that attaching the sinks does not perturb the
-simulation itself.
+metrics counters, and that attaching the sinks perturbs neither the
+simulation nor the deploy control loop.
 """
 
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
+from repro.deploy.drill import DrillFleet, DrillNodes
+from repro.deploy.loop import ControlLoop
+from repro.k8s.api import APIServer
 from repro.obs import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_INTERVAL_TICK,
@@ -38,6 +41,21 @@ def run_traced(seed=3, num_jobs=2, **cfg):
         tracer=tracer, metrics=metrics,
     )
     return result, tracer, metrics
+
+
+def record_schedule_calls(scheduler):
+    """Wrap *scheduler*'s ``schedule`` on the instance; returns the list
+    every decision it makes is appended to."""
+    decisions = []
+    schedule = scheduler.schedule
+
+    def recording_schedule(cluster, views):
+        decision = schedule(cluster, views)
+        decisions.append(decision)
+        return decision
+
+    scheduler.schedule = recording_schedule
+    return decisions
 
 
 @pytest.fixture(scope="module")
@@ -141,26 +159,63 @@ class TestTwoJobTrace:
 class TestObservabilityIsInert:
     def test_tracing_does_not_change_results(self):
         def once(**sinks):
-            return simulate(
+            scheduler = make_scheduler("optimus")
+            decisions = record_schedule_calls(scheduler)
+            result = simulate(
                 Cluster.homogeneous(4, cpu_mem(16, 64)),
-                make_scheduler("optimus"),
+                scheduler,
                 uniform_arrivals(
                     num_jobs=2, window=900, seed=3, models=["cnn-rand", "dssm"]
                 ),
-                SimConfig(seed=3, estimator_mode="oracle", record_decisions=True),
+                SimConfig(seed=3, estimator_mode="oracle"),
                 **sinks,
             )
+            return result, decisions
 
-        plain = once()
-        traced = once(tracer=RecordingTracer(), metrics=MetricsRegistry())
+        plain, plain_decisions = once()
+        traced, traced_decisions = once(
+            tracer=RecordingTracer(), metrics=MetricsRegistry()
+        )
         assert plain.average_jct == traced.average_jct
         assert plain.makespan == traced.makespan
-        assert plain.decisions == traced.decisions
+        assert plain_decisions and plain_decisions == traced_decisions
         assert {j: r.completion_time for j, r in plain.jobs.items()} == {
             j: r.completion_time for j, r in traced.jobs.items()
         }
         assert plain.phase_timings is None
         assert traced.phase_timings
+
+    def test_tracing_does_not_change_deploy_decisions(self):
+        def once(**sinks):
+            api = APIServer()
+            fleet = DrillFleet(seed=1, jobs=3, prefix="inert")
+            # Node 2 goes silent after step 0, so a sweep cordons it and
+            # its jobs are re-placed mid-drive.
+            nodes = DrillNodes(api, servers=4, lease_ttl=2.0, silent=2)
+            scheduler = make_scheduler("optimus")
+            decisions = record_schedule_calls(scheduler)
+            loop = ControlLoop(api, scheduler, **sinks)
+            bound = []
+            for _ in range(6):
+                nodes.heartbeat(float(loop.step_index), loop.heartbeat)
+                loop.step(fleet.views(), progress=dict(fleet.progress))
+                fleet.advance()
+                bound.append(sorted((pod.name, pod.node) for pod in api.list_pods()))
+            return decisions, bound
+
+        plain_decisions, plain_bound = once()
+        tracer = RecordingTracer()
+        traced_decisions, traced_bound = once(
+            tracer=tracer, metrics=MetricsRegistry()
+        )
+        assert tracer.of_type(EVENT_PLACEMENT_DECIDED)
+        assert len(plain_decisions) == len(traced_decisions) == 6
+        for step, (plain, traced) in enumerate(
+            zip(plain_decisions, traced_decisions)
+        ):
+            assert plain.scheduled_jobs, step
+            assert plain == traced, step
+            assert plain_bound[step] == traced_bound[step], step
 
     def test_default_run_emits_nothing(self):
         from repro.obs import NULL_REGISTRY

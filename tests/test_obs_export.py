@@ -157,10 +157,6 @@ def synthetic_trace():
         "decision", 0.0, kind="deny", job_id="j1",
         reason="capacity_exhausted", stage="grow",
     )
-    tracer.emit(
-        "decision", 0.0, kind="placement", job_id="j1",
-        provenance="fresh", servers=3,
-    )
     return tracer.events
 
 
@@ -185,7 +181,6 @@ class TestTop:
         assert state["decisions"] == {
             "grants": 1,
             "denials": 1,
-            "placements": 1,
             "shrinks": 0,
         }
 
@@ -196,7 +191,7 @@ class TestTop:
         assert "drift events 1" in text
         assert "j1" in text and "resnet-50" in text
         assert "control plane: elections=1, depositions=1" in text
-        assert "decision ledger: grants=1, denials=1, placements=1" in text
+        assert "decision ledger: grants=1, denials=1" in text
 
     def test_max_jobs_truncates_table(self):
         events = synthetic_trace()

@@ -185,6 +185,17 @@ class TestTolerantReads:
         assert "skipped 1" in text
         assert "j1" in text
 
+    def test_trace_cli_strict_fails_on_corrupt_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        good = {"seq": 0, "time": 0.0, "event": "job_arrived", "job_id": "j1"}
+        path.write_text(json.dumps(good) + "\ngarbage\n")
+        assert main(["trace", str(path)]) == 0
+        assert "skipped 1" in capsys.readouterr().out
+        assert main(["trace", "--strict", str(path)]) == 1
+        assert "line 2 is not valid JSON" in capsys.readouterr().err
+
 
 class TestEventInventory:
     def test_unknown_events_bucketed(self):

@@ -29,6 +29,7 @@ from repro.obs import (
     RecordingTracer,
     explain_trace,
     read_trace_tolerant,
+    trace_diff,
     use_ledger,
 )
 from repro.obs.summarize import decision_summary, summarize_trace
@@ -196,3 +197,32 @@ class TestTolerantDecisionReads:
         text = explain_trace(events, "nope")
         assert "no events for job" in text
         assert "j1" in text
+
+
+class TestPlacementsFromPlacementDecided:
+    """``repro explain`` and ``trace diff`` read a job's placement from the
+    ``placement_decided`` outcome event."""
+
+    @staticmethod
+    def run(servers):
+        return [
+            {"seq": 0, "time": 0.0, "event": "job_arrived", "job_id": "j1"},
+            {"seq": 1, "time": 0.0, "event": "allocation_decided",
+             "job_id": "j1", "workers": 2, "ps": 1},
+            {"seq": 2, "time": 0.0, "event": "placement_decided",
+             "job_id": "j1", "servers": servers, "layout": {}},
+        ]
+
+    def test_explain_shows_the_placement(self):
+        text = explain_trace(self.run(2), "j1")
+        assert "allocated w=2 ps=1" in text
+        assert "placed on 2 server(s)" in text
+
+    def test_trace_diff_keys_placements_by_server_count(self):
+        assert trace_diff(self.run(1), self.run(1))["divergent_jobs"] == 0
+        divergence = trace_diff(self.run(1), self.run(2))["jobs"]["j1"]["divergence"]
+        assert divergence["index"] == 1  # after the equal allocation
+        assert (divergence["a"], divergence["b"]) == (
+            "placed on 1 server(s)",
+            "placed on 2 server(s)",
+        )

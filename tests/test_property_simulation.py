@@ -24,14 +24,28 @@ SIM_SETTINGS = settings(
 
 
 def run(seed, scheduler, num_jobs=3, servers=4, **cfg):
+    return run_with_decisions(seed, scheduler, num_jobs, servers, **cfg)[0]
+
+
+def run_with_decisions(seed, scheduler, num_jobs=3, servers=4, **cfg):
+    """Simulate and capture each interval's allocations as the scheduler
+    returned them."""
     jobs = uniform_arrivals(
         num_jobs=num_jobs, window=900, seed=seed, models=FAST_MODELS
     )
     cluster = Cluster.homogeneous(servers, cpu_mem(16, 64))
-    config = SimConfig(
-        seed=seed, estimator_mode="oracle", record_decisions=True, **cfg
-    )
-    return simulate(cluster, make_scheduler(scheduler), jobs, config)
+    config = SimConfig(seed=seed, estimator_mode="oracle", **cfg)
+    policy = make_scheduler(scheduler)
+    schedule = policy.schedule
+    decisions = []
+
+    def recording_schedule(work_cluster, views):
+        decision = schedule(work_cluster, views)
+        decisions.append(dict(decision.allocations))
+        return decision
+
+    policy.schedule = recording_schedule
+    return simulate(cluster, policy, jobs, config), decisions
 
 
 class TestSimulationInvariants:
@@ -55,9 +69,10 @@ class TestSimulationInvariants:
     @SIM_SETTINGS
     @given(seed=st.integers(0, 10_000))
     def test_decisions_respect_capacity_every_interval(self, seed):
-        result = run(seed, "optimus", servers=3)
+        _, decisions = run_with_decisions(seed, "optimus", servers=3)
+        assert decisions
         capacity_cpu = 3 * 16
-        for decision in result.decisions:
+        for decision in decisions:
             used = sum(alloc.total * 5 for alloc in decision.values())
             assert used <= capacity_cpu + 1e-9
             for alloc in decision.values():
@@ -66,11 +81,11 @@ class TestSimulationInvariants:
     @SIM_SETTINGS
     @given(seed=st.integers(0, 10_000))
     def test_determinism(self, seed):
-        a = run(seed, "optimus")
-        b = run(seed, "optimus")
+        a, decisions_a = run_with_decisions(seed, "optimus")
+        b, decisions_b = run_with_decisions(seed, "optimus")
         assert a.average_jct == b.average_jct
         assert a.makespan == b.makespan
-        assert a.decisions == b.decisions
+        assert decisions_a == decisions_b
 
     @SIM_SETTINGS
     @given(seed=st.integers(0, 5_000))
@@ -98,13 +113,13 @@ class TestSimulationInvariants:
     @SIM_SETTINGS
     @given(seed=st.integers(0, 5_000))
     def test_scaling_counts_match_decision_changes(self, seed):
-        result = run(seed, "optimus")
+        result, decisions = run_with_decisions(seed, "optimus")
         # Every recorded rescaling corresponds to an observable allocation
         # change in the decision trail (the converse does not hold exactly:
         # jobs pay a start cost on first launch too).
         changes = 0
         previous = {}
-        for decision in result.decisions:
+        for decision in decisions:
             for job_id, alloc in decision.items():
                 if job_id in previous and previous[job_id] != alloc:
                     changes += 1

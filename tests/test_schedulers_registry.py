@@ -8,10 +8,8 @@ from repro.schedulers.composite import CompositeScheduler
 from repro.schedulers.registry import (
     ALLOCATION_REGISTRY,
     PLACEMENT_REGISTRY,
-    POLICY_ENV_VAR,
     SCHEDULER_REGISTRY,
     available_policies,
-    default_policy,
     register_allocation,
     register_scheduler,
     resolve_allocation,
@@ -124,21 +122,8 @@ class TestRegistration:
 
 
 class TestEnvironmentDefault:
-    def test_default_policy_fallback(self, monkeypatch):
-        monkeypatch.delenv(POLICY_ENV_VAR, raising=False)
-        assert default_policy() == "optimus"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV_VAR, "drf")
-        assert default_policy() == "drf"
-        scheduler = make_scheduler(None)
-        assert scheduler.name == "drf"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV_VAR, "drf")
-        assert make_scheduler("oasis").name == "oasis"
-
-    def test_env_naming_unknown_policy_raises_on_use(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV_VAR, "not-a-policy")
-        with pytest.raises(SchedulingError, match="not-a-policy"):
-            make_scheduler(None)
+    def test_default_policy_fallback(self):
+        # No name means the paper's scheduler; the CLI's --scheduler/--policy
+        # flag is the one way to pick another.
+        assert make_scheduler(None).name == "optimus"
+        assert resolve_scheduler().name == "optimus"

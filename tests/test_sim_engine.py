@@ -189,10 +189,6 @@ class TestOptions:
             SimConfig(interval=float("nan"))
         with pytest.raises(SimulationError, match="max_time"):
             SimConfig(max_time=float("nan"))
-        with pytest.raises(SimulationError, match="speed_noise_std"):
-            SimConfig(speed_noise_std=-0.1)
-        with pytest.raises(SimulationError, match="bootstrap_samples"):
-            SimConfig(bootstrap_samples=0)
         with pytest.raises(SimulationError):
             SimConfig(estimator_mode="psychic")
         with pytest.raises(SimulationError):

@@ -311,6 +311,38 @@ class TestSoakCli:
         out = capsys.readouterr().out
         assert "invariants" in out and "FAIL" not in out
 
+    def test_unfinished_run_reports_strict_json(self, tmp_path, capsys):
+        # No job finishes inside a 4,000 s horizon, so the run's makespan
+        # and average JCT are infinite; the report must carry them as null.
+        path = tmp_path / "short.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "short",
+                    "seed": 1,
+                    "horizon": 4_000.0,
+                    "workload": [{"arrivals": "uniform", "jobs": 2}],
+                }
+            )
+        )
+        report = tmp_path / "report.json"
+        code = main(
+            ["soak", "--scenario", str(path), "--report-out", str(report), "--json"]
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        for text in (capsys.readouterr().out, report.read_text()):
+            sim = json.loads(text, parse_constant=reject)["sim"]
+            assert (sim["jobs"], sim["finished"]) == (2, 0)
+            assert sim["makespan"] is None
+            assert sim["average_jct"] is None
+        assert main(["soak", "--scenario", str(path)]) == 0
+        table = capsys.readouterr().out
+        assert "makespan (h)" in table and "inf" not in table
+
     def test_seed_override(self, tmp_path, capsys):
         code = main(
             [
