@@ -26,12 +26,18 @@ regenerated).
 time) and gate like any other lower-is-better metric: the check compares
 the fresh ratio against the baseline ratio, so a ledger change that
 makes instrumented runs relatively slower trips the same 30% band.
+
+``--exact KEY`` (repeatable) names a behaviour key -- an average JCT, a
+count of finished jobs -- that must equal the baseline to within
+``EXACT_REL_TOL`` relative, so a speed-only change cannot move it inside
+the 30% band unnoticed. A listed key missing from either report fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 #: Suffixes marking higher-is-better metrics (throughputs, plus the
@@ -54,6 +60,9 @@ HIGHER_IS_BETTER_KEYS = frozenset({"jobs_completed"})
 #: flake CI. It stays gated -- just against a proportionally wider band.
 QUANTILE_SLACK = 4.0
 QUANTILE_SUFFIXES = ("_p95_ms", "_p99_ms")
+
+#: Relative tolerance of an ``--exact`` key.
+EXACT_REL_TOL = 1e-9
 
 
 def load(path: str) -> dict:
@@ -80,6 +89,14 @@ def main(argv=None) -> int:
         type=float,
         default=1.3,
         help="fail when a metric regresses past this (default 1.3 = +30%%)",
+    )
+    parser.add_argument(
+        "--exact",
+        action="append",
+        default=[],
+        metavar="KEY",
+        help="fail unless KEY equals the baseline to within 1e-9 relative "
+        "(repeatable)",
     )
     args = parser.parse_args(argv)
 
@@ -111,7 +128,20 @@ def main(argv=None) -> int:
         )
 
     failures = []
-    for key in sorted(base_keys):
+    for key in args.exact:
+        if key not in base_keys or key not in cur_keys:
+            print(f"FAIL: exact key {key} missing from a report", file=sys.stderr)
+            return 1
+        base_value = float(baseline[key])
+        cur_value = float(current[key])
+        same = math.isclose(cur_value, base_value, rel_tol=EXACT_REL_TOL, abs_tol=0.0)
+        print(
+            f"  {key}: {base_value:g} -> {cur_value:g} "
+            f"[{'ok' if same else 'CHANGED'}, exact]"
+        )
+        if not same:
+            failures.append((key, cur_value / base_value if base_value else math.inf))
+    for key in sorted(base_keys - set(args.exact)):
         base_value = float(baseline[key])
         cur_value = float(current[key])
         inverted = higher_is_better(key)

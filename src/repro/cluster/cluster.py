@@ -5,14 +5,16 @@ objects plus aggregate queries that the schedulers need: total/used/free
 capacity, per-job placement lookup, dominant resource of a demand against the
 whole cluster, and snapshot/restore so "what-if" placements can be trialled
 without mutating live state.
+
+A cluster's server set and their capacities are fixed at construction, so
+the total capacity is summed once there.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.cluster.resources import ZERO, ResourceVector
+from repro.cluster.resources import ResourceVector, vector_sum
 from repro.cluster.server import ROLE_PS, ROLE_WORKER, Server, TaskKey
 from repro.common.errors import ConfigurationError
 
@@ -36,6 +38,7 @@ class Cluster:
             self._servers[server.name] = server
         if not self._servers:
             raise ConfigurationError("a cluster needs at least one server")
+        self._total_capacity = vector_sum(s.capacity for s in self._servers.values())
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -108,17 +111,11 @@ class Cluster:
     # -- aggregates -----------------------------------------------------------
     @property
     def total_capacity(self) -> ResourceVector:
-        total = ZERO
-        for server in self:
-            total = total + server.capacity
-        return total
+        return self._total_capacity
 
     @property
     def total_used(self) -> ResourceVector:
-        total = ZERO
-        for server in self:
-            total = total + server.used
-        return total
+        return vector_sum(server.used for server in self)
 
     @property
     def total_available(self) -> ResourceVector:
@@ -167,8 +164,17 @@ class Cluster:
 
     # -- what-if support --------------------------------------------------------
     def snapshot(self) -> "Cluster":
-        """A deep, independent copy of the cluster state."""
-        return copy.deepcopy(self)
+        """An independent copy of the cluster state.
+
+        Each server is copied with its own task table; the immutable
+        :class:`ResourceVector` values are shared.
+        """
+        clone = object.__new__(Cluster)
+        clone._servers = {
+            name: server.copy() for name, server in self._servers.items()
+        }
+        clone._total_capacity = self._total_capacity
+        return clone
 
     def clear(self) -> None:
         """Release every task on every server."""

@@ -178,6 +178,19 @@ class ResourceVector(Mapping[str, float]):
 ZERO = ResourceVector()
 
 
+def vector_sum(vectors: Iterable[ResourceVector]) -> ResourceVector:
+    """``ZERO + v1 + v2 + ...`` without the intermediate vectors.
+
+    Each type is summed left to right in the order given, exactly as the
+    chained ``+`` would.
+    """
+    total: Dict[str, float] = {}
+    for vector in vectors:
+        for name, value in vector._amounts.items():
+            total[name] = total.get(name, 0.0) + value
+    return ResourceVector._from_clean(total)
+
+
 def cpu_mem(cpus: float, memory_gb: float) -> ResourceVector:
     """Convenience constructor for the common CPU+memory container shape."""
     return ResourceVector({CPU: cpus, MEMORY: memory_gb})

@@ -9,7 +9,7 @@ need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 from repro.cluster.resources import ZERO, ResourceVector
@@ -46,6 +46,8 @@ class Server:
     #: Cached ``capacity - used``; recomputed lazily after place/release.
     #: ResourceVector is immutable, so sharing the cached instance is safe.
     _available: ResourceVector = field(default=None, repr=False, compare=False)
+    #: Cached :attr:`availability_rank`, reset with ``_available``.
+    _rank: Tuple[float, float, str] = field(default=None, repr=False, compare=False)
 
     @property
     def used(self) -> ResourceVector:
@@ -58,6 +60,15 @@ class Server:
         if self._available is None:
             self._available = self.capacity - self._used
         return self._available
+
+    @property
+    def availability_rank(self) -> Tuple[float, float, str]:
+        """Sort key putting the most-available server first: available CPU,
+        then the sum of all available resources, then the name."""
+        if self._rank is None:
+            available = self.available
+            self._rank = (-available.get("cpu"), -sum(available.values()), self.name)
+        return self._rank
 
     @property
     def task_keys(self) -> Tuple[TaskKey, ...]:
@@ -96,6 +107,7 @@ class Server:
         self._tasks[key] = demand
         self._used = self._used + demand
         self._available = None
+        self._rank = None
 
     def release(self, key: TaskKey) -> ResourceVector:
         """Free the resources of task *key* and return its demand."""
@@ -105,6 +117,7 @@ class Server:
             raise CapacityError(f"task {key} is not placed on {self.name}") from None
         self._used = self._used - demand
         self._available = None
+        self._rank = None
         return demand
 
     def release_job(self, job_id: str) -> int:
@@ -113,6 +126,10 @@ class Server:
         for key in keys:
             self.release(key)
         return len(keys)
+
+    def copy(self) -> "Server":
+        """An independent copy: its own task table, shared immutable vectors."""
+        return replace(self, _tasks=dict(self._tasks))
 
     def utilization(self, resource_type: str = "cpu") -> float:
         """Fraction of one resource type in use (0 when the type is absent)."""

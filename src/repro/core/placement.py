@@ -31,6 +31,9 @@ from repro.obs.registry import active_registry
 #: server name -> (num workers, num ps) for one job.
 JobLayout = Dict[str, Tuple[int, int]]
 
+#: :class:`ResourceVector`'s fit slack and zero cut-off.
+_TOL = 1e-9
+
 
 @dataclass
 class PlacementRequest:
@@ -115,34 +118,54 @@ def _greedy_layout(
     Tasks are dealt one at a time to the server with the most remaining
     room, worker and parameter server alternately so each server keeps a
     balanced mix (the principle behind Theorem 1's proof).
-    """
-    remaining: Dict[str, ResourceVector] = {s.name: s.available for s in servers}
-    counts: Dict[str, List[int]] = {s.name: [0, 0] for s in servers}
 
-    tasks: List[Tuple[int, ResourceVector]] = []
+    The rooms are plain float dicts with :class:`ResourceVector`'s
+    semantics: the same fit slack, entries at or below the slack dropped
+    after a subtraction, and the same score summed in the same order, so
+    ties break exactly as the vector arithmetic would.
+    """
+    rooms = [dict(server.available.items()) for server in servers]
+    counts = [[0, 0] for _ in servers]
+    shapes = (
+        tuple(request.worker_demand.items()),
+        tuple(request.ps_demand.items()),
+    )
+
+    roles: List[int] = []
     for i in range(max(request.workers, request.ps)):
         if i < request.workers:
-            tasks.append((0, request.worker_demand))
+            roles.append(0)
         if i < request.ps:
-            tasks.append((1, request.ps_demand))
+            roles.append(1)
 
-    for role_idx, demand in tasks:
-        best: Optional[str] = None
+    for role_idx in roles:
+        demand = shapes[role_idx]
+        best = -1
         best_room = -1.0
-        for server in servers:
-            room = remaining[server.name]
-            if demand.fits_within(room):
-                score = room.get("cpu") + sum(room.values()) * 1e-6
+        for idx, room in enumerate(rooms):
+            for name, value in demand:
+                if value > room.get(name, 0.0) + _TOL:
+                    break
+            else:
+                score = room.get("cpu", 0.0) + sum(room.values()) * 1e-6
                 if score > best_room:
                     best_room = score
-                    best = server.name
-        if best is None:
+                    best = idx
+        if best < 0:
             return None
-        remaining[best] = remaining[best] - demand
+        room = rooms[best]
+        for name, value in demand:
+            left = room.get(name, 0.0) - value
+            if left > _TOL:
+                room[name] = left
+            else:
+                room.pop(name, None)
         counts[best][role_idx] += 1
 
     return {
-        name: (c[0], c[1]) for name, c in counts.items() if c[0] or c[1]
+        server.name: (c[0], c[1])
+        for server, c in zip(servers, counts)
+        if c[0] or c[1]
     }
 
 
@@ -164,12 +187,6 @@ def _apply_layout(
                 server_name, (request.job_id, ROLE_PS, ps_idx), request.ps_demand
             )
             ps_idx += 1
-
-
-def _server_rank(server: Server) -> Tuple[float, float, str]:
-    """Heap key: most-available servers first (available CPU, then total)."""
-    available = server.available
-    return (-available.get("cpu"), -sum(available.values()), server.name)
 
 
 def place_jobs(
@@ -194,7 +211,20 @@ def place_jobs(
     Servers are kept in a lazy max-heap on current availability instead of
     being re-sorted for every job, so a round over ``J`` jobs touching
     ``S`` servers in total costs ``O((J + S) log N)`` heap operations --
-    this is what keeps the Fig-12 scalability sweep tractable.
+    this is what keeps the Fig-12 scalability sweep tractable. Each
+    server's heap key (:attr:`Server.availability_rank`) is cached until
+    a task is placed on or released from it.
+
+    Most calls are the scheduler's single-request shrink retries, so the
+    per-call set-up is kept small: the smallest-first sort key is built
+    only for two or more requests, and the cluster's total capacity is
+    fixed at construction. The greedy fallback (:func:`_greedy_layout`)
+    costs ``O(tasks * k)`` plain float operations.
+
+    Under an active metrics registry the round also counts its work:
+    ``placement.layout_attempts`` (candidate sets tried) and
+    ``placement.greedy_fallbacks`` (attempts where the even split did
+    not fit). Both are deterministic for a given input.
     """
     import heapq
 
@@ -202,7 +232,7 @@ def place_jobs(
     # rebuilds the vector on every access, and the round below needs it in
     # the sort key, the aggregate precheck, and the candidate-growth loop.
     pending = [(request, request.total_demand) for request in requests]
-    if sort_jobs:
+    if sort_jobs and len(pending) > 1:
         capacity = cluster.total_capacity
         pending.sort(
             key=lambda pair: (pair[1].dominant_share(capacity), pair[0].job_id)
@@ -213,7 +243,7 @@ def place_jobs(
 
     servers_by_name = {server.name: server for server in cluster}
     heap: List[Tuple[Tuple[float, float, str], str]] = [
-        (_server_rank(server), server.name) for server in cluster
+        (server.availability_rank, server.name) for server in cluster
     ]
     heapq.heapify(heap)
     remaining_total = cluster.total_available
@@ -222,6 +252,8 @@ def place_jobs(
     # shape needing more than S tasks must fail too (capacity only shrinks
     # within a round), so it can be rejected without touching the heap.
     drain_slots: Dict[ResourceVector, int] = {}
+    attempts = 0
+    fallbacks = 0
 
     for request, total_demand in pending:
         # Cheap aggregate precheck: a job whose demand exceeds the whole
@@ -274,8 +306,8 @@ def place_jobs(
         while heap:
             rank, name = heapq.heappop(heap)
             server = servers_by_name[name]
-            if rank != _server_rank(server):
-                heapq.heappush(heap, (_server_rank(server), name))
+            if rank != server.availability_rank:
+                heapq.heappush(heap, (server.availability_rank, name))
                 continue  # stale entry: reinsert with its current rank
             selected.append(server)
             for res_name, value in server.available.items():
@@ -290,8 +322,10 @@ def place_jobs(
             if k < next_attempt and heap:
                 continue
             next_attempt = k + 1 if k <= 8 else 2 * k
+            attempts += 1
             layout = _even_layout(request, selected)
             if layout is None:
+                fallbacks += 1
                 layout = _greedy_layout(request, selected)
             if layout is not None:
                 break
@@ -304,13 +338,15 @@ def place_jobs(
             if not heap:  # full drain: remember this shape's slot ceiling
                 drain_slots[bound_demand] = slots
         for server in selected:
-            heapq.heappush(heap, (_server_rank(server), server.name))
+            heapq.heappush(heap, (server.availability_rank, server.name))
 
     metrics = active_registry()
     if metrics:
         metrics.counter("placement.rounds").inc()
         metrics.counter("placement.placed").inc(float(len(layouts)))
         metrics.counter("placement.unplaced").inc(float(len(unplaced)))
+        metrics.counter("placement.layout_attempts").inc(float(attempts))
+        metrics.counter("placement.greedy_fallbacks").inc(float(fallbacks))
         for layout in layouts.values():
             metrics.histogram(
                 "placement.servers_per_job", bounds=(1, 2, 4, 8, 16, 32, 64)

@@ -37,16 +37,27 @@ def blocks_from_sizes(sizes: Sequence[float], prefix: str = "block") -> List[Par
 
 @dataclass
 class ServerLoad:
-    """What one parameter server ends up holding."""
+    """What one parameter server ends up holding.
+
+    Grow ``pieces`` only through :meth:`add`: it keeps the running total
+    that :attr:`assigned_size` returns, which the partitioners read once
+    per server for every block they place.
+    """
 
     index: int
     #: (block name, assigned parameter count) -- a sliced block appears once
     #: per slice, on the servers holding its slices.
     pieces: List[Tuple[str, float]] = field(default_factory=list)
+    _assigned: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for _, size in self.pieces:
+            self._assigned += size
 
     @property
     def assigned_size(self) -> float:
-        return sum(size for _, size in self.pieces)
+        """Sum of the piece sizes, added in insertion order."""
+        return self._assigned
 
     @property
     def num_requests(self) -> int:
@@ -61,7 +72,9 @@ class ServerLoad:
     def add(self, block_name: str, size: float) -> None:
         if size <= 0:
             raise ConfigurationError("piece size must be positive")
-        self.pieces.append((block_name, float(size)))
+        size = float(size)
+        self.pieces.append((block_name, size))
+        self._assigned += size
 
 
 @dataclass

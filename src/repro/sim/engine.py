@@ -62,7 +62,14 @@ from repro.obs.tracer import (
 )
 from repro.schedulers.base import Scheduler
 from repro.sim.metrics import JobRecord, SimulationResult, TimeSlot
-from repro.sim.runtime import ESTIMATOR_MODES, RuntimeJob, ScalingCosts
+from repro.sim.runtime import (
+    BANDWIDTH,
+    BOOTSTRAP_SAMPLES,
+    ESTIMATOR_MODES,
+    EXAMPLE_BYTES,
+    SCALING_COSTS,
+    RuntimeJob,
+)
 from repro.sim.stragglers import (
     StragglerConfig,
     StragglerInjector,
@@ -70,19 +77,10 @@ from repro.sim.stragglers import (
 )
 from repro.workloads.job import JobSpec
 
-#: Per-container network bandwidth (bytes/s) for the speed ground truth:
-#: the testbed's 1 GbE NIC.
-BANDWIDTH = 125e6
-#: The §5.4 checkpoint cost charged on every (re)configuration.
-SCALING_COSTS = ScalingCosts()
 #: Loss observations fed to the estimator per job per interval.
 LOSS_POINTS_PER_INTERVAL = 30
 #: Multiplicative noise on measured interval speeds.
 SPEED_NOISE_STD = 0.03
-#: Profiling pre-runs per job (§6.1 uses 5).
-BOOTSTRAP_SAMPLES = 5
-#: Bytes per training example, for sizing the HDFS files (§5.1).
-EXAMPLE_BYTES = 3072
 
 
 @dataclass(frozen=True)

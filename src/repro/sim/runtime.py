@@ -34,8 +34,16 @@ PRIOR_EPOCHS = 30.0
 
 ESTIMATOR_MODES = ("online", "oracle", "noisy")
 
+#: Per-container network bandwidth (bytes/s) for the speed ground truth:
+#: the testbed's 1 GbE NIC.
+BANDWIDTH = 125e6
+#: Profiling pre-runs per job (§6.1 uses 5).
+BOOTSTRAP_SAMPLES = 5
+#: Bytes per training example, for sizing the HDFS files (§5.1).
+EXAMPLE_BYTES = 3072
 
-@dataclass
+
+@dataclass(frozen=True)
 class ScalingCosts:
     """Checkpoint-based elastic-scaling cost model (§5.4)."""
 
@@ -52,6 +60,10 @@ class ScalingCosts:
         return transfer + self.restart_time
 
 
+#: The §5.4 checkpoint cost charged on every (re)configuration.
+SCALING_COSTS = ScalingCosts()
+
+
 class RuntimeJob:
     """Mutable state of one job inside a running simulation."""
 
@@ -59,14 +71,14 @@ class RuntimeJob:
         self,
         spec: JobSpec,
         seed: RandomSource,
-        bandwidth: float = 125e6,
+        bandwidth: float = BANDWIDTH,
         partition_algorithm: str = "paa",
         estimator_mode: str = "online",
         convergence_error: float = 0.0,
         speed_error: float = 0.0,
         loss_noise_std: float = 0.015,
         outlier_rate: float = 0.01,
-        scaling_costs: Optional[ScalingCosts] = None,
+        scaling_costs: ScalingCosts = SCALING_COSTS,
     ):
         if estimator_mode not in ESTIMATOR_MODES:
             raise SimulationError(
@@ -75,7 +87,7 @@ class RuntimeJob:
         self.spec = spec
         self.estimator_mode = estimator_mode
         self.partition_algorithm = partition_algorithm
-        self.scaling_costs = scaling_costs or ScalingCosts()
+        self.scaling_costs = scaling_costs
         self._seed = seed.child(f"job-{spec.job_id}")
 
         # Ground truth.
@@ -157,7 +169,9 @@ class RuntimeJob:
         self._speed_rng = self._seed.child("speed-measure").rng
 
     # -- data serving --------------------------------------------------------
-    def attach_data(self, store: ChunkStore, example_bytes: int = 3072) -> None:
+    def attach_data(
+        self, store: ChunkStore, example_bytes: int = EXAMPLE_BYTES
+    ) -> None:
         """Register the job's training data in the chunk store."""
         size = max(
             int(self.spec.profile.dataset_examples * self.spec.dataset_scale)
@@ -193,7 +207,9 @@ class RuntimeJob:
         return self._imbalance_cache[num_ps]
 
     # -- profiling / observation feeds -------------------------------------------
-    def bootstrap_speed(self, num_samples: int = 5, max_grid: int = 16) -> None:
+    def bootstrap_speed(
+        self, num_samples: int = BOOTSTRAP_SAMPLES, max_grid: int = 16
+    ) -> None:
         """The §3.2 pre-run: profile a few (p, w) configurations."""
         self.speed_estimator.bootstrap(
             measure=lambda p, w: self.truth.measured_speed(
@@ -333,7 +349,7 @@ class RuntimeJob:
                     return self.speed_estimator.speed_function()
                 except Exception:
                     pass
-            return lambda p, w: self.truth.speed(p, w)  # pre-bootstrap corner
+            return self.truth.speed  # pre-bootstrap corner
         if self.estimator_mode == "noisy":
             # A speed-estimation error of magnitude e perturbs every
             # configuration's predicted speed independently (a mis-fitted
@@ -354,7 +370,7 @@ class RuntimeJob:
                 )
 
             return noisy_speed
-        return lambda p, w: self.truth.speed(p, w)
+        return self.truth.speed
 
     def loss_efficiency(self) -> float:
         """The loss-curve statistical-efficiency term (goodput policies).

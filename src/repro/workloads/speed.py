@@ -96,6 +96,9 @@ class StepTimeModel:
         use the configured per-worker batch.
         """
         self._validate_tasks(1, w)
+        return self._mini_batch(w)
+
+    def _mini_batch(self, w: int) -> float:
         if self.mode == MODE_SYNC:
             return self.profile.global_batch / w
         return float(self.profile.per_worker_batch)
@@ -121,6 +124,19 @@ class StepTimeModel:
         hosts, across jobs) -- placement-aware runs use it to model the
         1 GbE contention of the paper's testbed.
         """
+        return StepBreakdown(
+            *self._components(p, w, placement, imbalance, bandwidths)
+        )
+
+    def _components(
+        self,
+        p: int,
+        w: int,
+        placement: Optional[PlacementLayout],
+        imbalance: float,
+        bandwidths: Optional[Mapping[str, float]],
+    ) -> Tuple[float, float, float, float]:
+        """The four Eqn-2 terms, in :class:`StepBreakdown` field order."""
         self._validate_tasks(p, w)
         if imbalance < 1.0 - 1e-9:
             raise ConfigurationError("imbalance factor must be >= 1")
@@ -128,7 +144,7 @@ class StepTimeModel:
         # Device under-utilisation floor: below min_batch_fraction of the
         # configured per-worker batch, per-step compute stops shrinking.
         batch_floor = prof.per_worker_batch * prof.min_batch_fraction
-        effective_batch = max(self.mini_batch(w), batch_floor)
+        effective_batch = max(self._mini_batch(w), batch_floor)
         compute = (
             effective_batch * prof.forward_time_per_example + prof.backward_time
         )
@@ -148,7 +164,7 @@ class StepTimeModel:
             + prof.overhead_ps * p
             + coordination * (w - 1)
         )
-        return StepBreakdown(compute, transfer, update, overhead)
+        return compute, transfer, update, overhead
 
     def _placement_transfer(
         self,
@@ -193,8 +209,15 @@ class StepTimeModel:
         imbalance: float = 1.0,
         bandwidths: Optional[Mapping[str, float]] = None,
     ) -> float:
-        """Seconds per training step (one worker's step)."""
-        return self.breakdown(p, w, placement, imbalance, bandwidths).total
+        """Seconds per training step (one worker's step).
+
+        Adds the terms in :attr:`StepBreakdown.total`'s order, so it equals
+        ``breakdown(...).total`` exactly.
+        """
+        compute, transfer, update, overhead = self._components(
+            p, w, placement, imbalance, bandwidths
+        )
+        return compute + transfer + update + overhead
 
     def speed(
         self,
@@ -209,7 +232,10 @@ class StepTimeModel:
         Asynchronous: total steps completed by all workers per second,
         ``w / T``. Synchronous: global steps per second, ``1 / T``.
         """
-        t = self.step_time(p, w, placement, imbalance, bandwidths)
+        compute, transfer, update, overhead = self._components(
+            p, w, placement, imbalance, bandwidths
+        )
+        t = compute + transfer + update + overhead
         if self.mode == MODE_ASYNC:
             return w / t
         return 1.0 / t

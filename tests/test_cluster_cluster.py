@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, Server, cpu_mem
+from repro.cluster.resources import ZERO, ResourceVector
 from repro.cluster.server import ROLE_PS, ROLE_WORKER
 from repro.common.errors import ConfigurationError
 
@@ -105,3 +106,62 @@ class TestSnapshot:
         cluster.place("node-1", ("j1", ROLE_PS, 0), DEMAND)
         snap = cluster.snapshot()
         assert snap.job_placement("j1") == {"node-1": {"worker": 0, "ps": 1}}
+
+
+def _fresh_sum(cluster):
+    total = ZERO
+    for server in cluster:
+        total = total + server.capacity
+    return total
+
+
+def _exact(vector):
+    return list(vector.items())
+
+
+class TestTotalCapacity:
+    """``total_capacity`` is summed once at construction; it must equal a
+    fresh left-to-right sum exactly, key order included."""
+
+    def test_equals_fresh_sum(self):
+        clusters = [
+            Cluster.testbed(),
+            Cluster.homogeneous(7, ResourceVector({"cpu": 16.1, "memory": 80.3, "gpu": 4})),
+            Cluster(
+                [
+                    Server("a", ResourceVector({"memory": 0.1, "cpu": 0.7})),
+                    Server("b", ResourceVector({"gpu": 2, "cpu": 0.2})),
+                    Server("c", ResourceVector({"cpu": 0.1, "memory": 0.2})),
+                ]
+            ),
+        ]
+        for cluster in clusters:
+            assert _exact(cluster.total_capacity) == _exact(_fresh_sum(cluster))
+
+    def test_unchanged_by_placement_and_snapshot(self):
+        cluster = Cluster.testbed()
+        expected = _exact(_fresh_sum(cluster))
+        cluster.place("gpu-0", ("j1", ROLE_WORKER, 0), DEMAND)
+        snap = cluster.snapshot()
+        snap.place("cpu-0", ("j2", ROLE_PS, 0), DEMAND)
+        for c in (cluster, snap):
+            assert _exact(c.total_capacity) == expected
+            assert _exact(c.total_capacity) == _exact(_fresh_sum(c))
+
+    def test_total_used_equals_fresh_sum(self):
+        cluster = Cluster.homogeneous(4, cpu_mem(16, 64))
+        demands = [cpu_mem(0.1, 0.3), ResourceVector({"memory": 0.7}), cpu_mem(0.2, 0.1)]
+        for i, demand in enumerate(demands * 3):
+            cluster.place(f"node-{i % 4}", ("j", ROLE_WORKER, i), demand)
+        fresh = ZERO
+        for server in cluster:
+            fresh = fresh + server.used
+        assert _exact(cluster.total_used) == _exact(fresh)
+
+    def test_snapshot_copies_rank_state(self):
+        cluster = Cluster.homogeneous(2, cpu_mem(16, 64))
+        ranks = [s.availability_rank for s in cluster]
+        snap = cluster.snapshot()
+        snap.place("node-0", ("j", ROLE_WORKER, 0), DEMAND)
+        assert [s.availability_rank for s in cluster] == ranks
+        assert snap.server("node-0").availability_rank == (-11.0, -65.0, "node-0")

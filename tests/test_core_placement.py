@@ -1,16 +1,21 @@
 """Tests for the §4.2 task-placement scheme and Theorem 1's consequences."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Cluster, cpu_mem
+from repro.cluster import Cluster, Server, cpu_mem
+from repro.cluster.resources import ResourceVector
 from repro.common.errors import PlacementError
 from repro.core.placement import (
     PlacementRequest,
+    _greedy_layout,
     place_jobs,
     split_evenly,
     transfer_units,
 )
+from repro.obs import MetricsRegistry
+from repro.obs.registry import NullRegistry, use_registry
 
 DEMAND = cpu_mem(5, 10)
 
@@ -228,3 +233,191 @@ class TestPlacementQuality:
         chosen = transfer_units(result.layouts["j"])
         optimal = self.brute_force_best(workers, ps, num_servers, slots)
         assert chosen <= optimal + 1e-9 or chosen <= optimal * 1.25
+
+
+def _reference_greedy_layout(request, servers):
+    """The greedy spread written with ResourceVector arithmetic."""
+    remaining = {s.name: s.available for s in servers}
+    counts = {s.name: [0, 0] for s in servers}
+    tasks = []
+    for i in range(max(request.workers, request.ps)):
+        if i < request.workers:
+            tasks.append((0, request.worker_demand))
+        if i < request.ps:
+            tasks.append((1, request.ps_demand))
+    for role_idx, demand in tasks:
+        best = None
+        best_room = -1.0
+        for server in servers:
+            room = remaining[server.name]
+            if demand.fits_within(room):
+                score = room.get("cpu") + sum(room.values()) * 1e-6
+                if score > best_room:
+                    best_room = score
+                    best = server.name
+        if best is None:
+            return None
+        remaining[best] = remaining[best] - demand
+        counts[best][role_idx] += 1
+    return {name: (c[0], c[1]) for name, c in counts.items() if c[0] or c[1]}
+
+
+#: Amounts chosen so that ties are common (identical servers, equal
+#: scores) and subtractions leave residues at or below 1e-9 (0.3 - 3 * 0.1,
+#: 1 + 5e-10 - 1).
+_CAPACITIES = (0.3, 1.0, 1.0 + 5e-10, 2.0, 4.0)
+_DEMANDS = (0.1, 0.5, 1.0, 1.0 - 5e-10)
+
+
+@st.composite
+def _fleets(draw):
+    types = ("cpu", "memory", "gpu")
+    shapes = [
+        ResourceVector(
+            {
+                t: draw(st.sampled_from(_CAPACITIES))
+                for t in types
+                if draw(st.booleans()) or t == "cpu"
+            }
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    servers = [
+        Server(f"s{i}", draw(st.sampled_from(shapes)))
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    for server in servers:  # some prior load, so availabilities differ
+        if draw(st.booleans()):
+            demand = server.capacity * draw(st.sampled_from([0.1, 0.5]))
+            if not demand.is_zero():
+                server.place(("other", "worker", 0), demand)
+
+    def demand():
+        chosen = draw(st.lists(st.sampled_from(types), min_size=1, unique=True))
+        return ResourceVector({t: draw(st.sampled_from(_DEMANDS)) for t in chosen})
+
+    request = PlacementRequest(
+        job_id="j",
+        workers=draw(st.integers(1, 8)),
+        ps=draw(st.integers(1, 6)),
+        worker_demand=demand(),
+        ps_demand=demand(),
+    )
+    return request, servers
+
+
+class TestGreedyLayoutEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_fleets())
+    def test_matches_resource_vector_reference(self, case):
+        request, servers = case
+        expected = _reference_greedy_layout(request, servers)
+        got = _greedy_layout(request, servers)
+        assert got == expected
+        if got is not None:
+            assert list(got.items()) == list(expected.items())
+
+    def test_tie_goes_to_the_first_server(self):
+        servers = [Server(f"s{i}", cpu_mem(2, 2)) for i in range(3)]
+        request = PlacementRequest("j", 2, 1, cpu_mem(1, 1), cpu_mem(1, 1))
+        assert _greedy_layout(request, servers) == {"s0": (1, 0), "s1": (0, 1), "s2": (1, 0)}
+        assert _reference_greedy_layout(request, servers) == _greedy_layout(request, servers)
+
+    def test_residue_below_tolerance_is_dropped(self):
+        # s0 keeps 0.3 - 0.1 - 0.1 = 0.09999999999999998 after two tasks,
+        # so the third task goes to s1 (0.1 scores higher) and the fourth
+        # fits s0 only through the 1e-9 slack, leaving -2.8e-17, which is
+        # dropped. A fifth task then fits nowhere.
+        servers = [
+            Server("s0", ResourceVector({"cpu": 0.3})),
+            Server("s1", ResourceVector({"cpu": 0.1})),
+        ]
+        tenth = ResourceVector({"cpu": 0.1})
+        request = PlacementRequest("j", 2, 2, tenth, tenth)
+        assert _greedy_layout(request, servers) == {"s0": (1, 2), "s1": (1, 0)}
+        assert _reference_greedy_layout(request, servers) == _greedy_layout(request, servers)
+        too_many = PlacementRequest("j", 3, 2, tenth, tenth)
+        assert _greedy_layout(too_many, servers) is None
+        assert _reference_greedy_layout(too_many, servers) is None
+
+    def test_dropped_residue_leaves_a_tie(self):
+        # The worker leaves s1 a 5e-10 memory residue, which is dropped, so
+        # the PS sees two equal rooms and goes to the first server. Kept,
+        # the residue would raise s1's score by 5e-16 and win.
+        servers = [
+            Server("s0", ResourceVector({"cpu": 1.0})),
+            Server("s1", ResourceVector({"cpu": 1.0, "memory": 1.0 + 5e-10})),
+        ]
+        request = PlacementRequest(
+            "j", 1, 1, ResourceVector({"memory": 1.0}), ResourceVector({"cpu": 0.5})
+        )
+        assert _reference_greedy_layout(request, servers) == {"s0": (0, 1), "s1": (1, 0)}
+        assert _greedy_layout(request, servers) == {"s0": (0, 1), "s1": (1, 0)}
+
+
+def _counts(registry):
+    counters = registry.snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("placement.")}
+
+
+def _seeded_rounds(seed):
+    """Several placement rounds of random jobs on a random fleet."""
+    rng = np.random.default_rng(seed)
+    cluster = Cluster(
+        Server(f"n{i}", cpu_mem(float(rng.choice([4, 8, 16])), 64.0)) for i in range(12)
+    )
+    results = []
+    for round_ in range(6):
+        cluster.clear()
+        requests = [
+            PlacementRequest(
+                f"r{round_}-{j}",
+                int(rng.integers(1, 9)),
+                int(rng.integers(1, 5)),
+                cpu_mem(float(rng.choice([1, 2, 3])), 2.0),
+                cpu_mem(float(rng.choice([1, 2])), 2.0),
+            )
+            for j in range(int(rng.integers(3, 10)))
+        ]
+        results.append(place_jobs(cluster, requests))
+    return results
+
+
+class TestWorkCounters:
+    def test_counts_a_greedy_fallback(self):
+        # 8 CPU of tasks on servers of 6 and 2 CPU: the even split puts
+        # 4 CPU on the 2-CPU server, so the greedy spread places the job.
+        cluster = Cluster(
+            [Server("a", ResourceVector({"cpu": 6})), Server("b", ResourceVector({"cpu": 2}))]
+        )
+        request = PlacementRequest(
+            "j", 2, 2, ResourceVector({"cpu": 2}), ResourceVector({"cpu": 2})
+        )
+        with use_registry(MetricsRegistry()) as registry:
+            result = place_jobs(cluster, [request])
+        assert result.layouts["j"] == {"a": (2, 1), "b": (0, 1)}
+        counts = _counts(registry)
+        assert counts["placement.layout_attempts"] == 1
+        assert counts["placement.greedy_fallbacks"] == 1
+
+    def test_seeded_runs_count_the_same(self):
+        runs = []
+        for _ in range(2):
+            with use_registry(MetricsRegistry()) as registry:
+                layouts = [r.layouts for r in _seeded_rounds(11)]
+            runs.append((layouts, _counts(registry)))
+        assert runs[0] == runs[1]
+        counts = runs[0][1]
+        assert counts["placement.layout_attempts"] >= counts["placement.greedy_fallbacks"] > 0
+
+    def test_nothing_emitted_without_a_registry(self):
+        class Forbidden(NullRegistry):
+            def counter(self, name):
+                raise AssertionError(f"counter {name} emitted")
+
+            def histogram(self, name, bounds=None):
+                raise AssertionError(f"histogram {name} emitted")
+
+        with use_registry(Forbidden()):
+            results = _seeded_rounds(11)
+        assert any(r.layouts for r in results)

@@ -1,5 +1,7 @@
 """Tests for parameter-block partitioning (§5.3): PAA vs MXNet default."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,3 +189,56 @@ class TestProperties:
         pa = paa_partition(blocks, num_servers)
         mx = mxnet_partition(blocks, num_servers, seed=0)
         assert pa.total_requests <= mx.total_requests
+
+
+def _left_fold(pieces):
+    total = 0.0
+    for _, size in pieces:
+        total += size
+    return total
+
+
+def _assert_running_total(load):
+    # The running total is a left-to-right sum in insertion order; before
+    # Python 3.12 that is also exactly what ``sum()`` computes.
+    assert load.assigned_size == _left_fold(load.pieces)
+    if sys.version_info < (3, 12):
+        assert load.assigned_size == sum(size for _, size in load.pieces)
+
+
+class TestRunningTotal:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=sizes_strategy)
+    def test_equals_sum_after_any_adds(self, sizes):
+        load = ServerLoad(0)
+        for i, size in enumerate(sizes):
+            load.add(f"b{i}", size)
+            _assert_running_total(load)
+
+    def test_pieces_given_at_construction(self):
+        load = ServerLoad(0, pieces=[("a", 0.1), ("b", 0.2), ("c", 0.3)])
+        _assert_running_total(load)
+        load.add("d", 0.4)
+        _assert_running_total(load)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_partitioner_outputs(self, model):
+        blocks = blocks_from_sizes(MODEL_ZOO[model].parameter_blocks())
+        for num_servers in range(1, 9):
+            for assignment in (
+                paa_partition(blocks, num_servers),
+                mxnet_partition(blocks, num_servers, seed=num_servers),
+            ):
+                for load in assignment.servers:
+                    _assert_running_total(load)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=sizes_strategy, num_servers=st.integers(1, 12))
+    def test_random_partitions(self, sizes, num_servers):
+        blocks = blocks_from_sizes(sizes)
+        for assignment in (
+            paa_partition(blocks, num_servers),
+            mxnet_partition(blocks, num_servers, seed=0),
+        ):
+            for load in assignment.servers:
+                _assert_running_total(load)

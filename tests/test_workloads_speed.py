@@ -194,3 +194,51 @@ class TestMeasuredSpeed:
             for mode in (MODE_SYNC, MODE_ASYNC):
                 model = StepTimeModel(MODEL_ZOO[name], mode)
                 assert model.speed(p, w) > 0
+
+
+@st.composite
+def _speed_cases(draw):
+    model = StepTimeModel(
+        MODEL_ZOO[draw(st.sampled_from(sorted(MODEL_ZOO)))],
+        draw(st.sampled_from([MODE_SYNC, MODE_ASYNC])),
+        bandwidth=draw(st.sampled_from([10e6, 125e6, 1.25e9])),
+    )
+    p = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 24))
+    imbalance = draw(st.floats(1.0, 3.0))
+    placement = bandwidths = None
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        servers = [f"s{i}" for i in range(k)]
+        worker_at = [draw(st.integers(0, k - 1)) for _ in range(w)]
+        ps_at = [draw(st.integers(0, k - 1)) for _ in range(p)]
+        placement = {
+            name: (worker_at.count(i), ps_at.count(i))
+            for i, name in enumerate(servers)
+        }
+        if draw(st.booleans()):
+            bandwidths = {
+                name: draw(st.floats(0.5, 2e8)) for name in servers[: k - 1]
+            }
+    return model, p, w, placement, imbalance, bandwidths
+
+
+class TestOneFormula:
+    """``step_time`` and ``speed`` add the Eqn-2 terms without building a
+    :class:`StepBreakdown`; they must equal ``breakdown(...).total`` exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_speed_cases())
+    def test_step_time_equals_breakdown_total(self, case):
+        model, p, w, placement, imbalance, bandwidths = case
+        total = model.breakdown(p, w, placement, imbalance, bandwidths).total
+        assert model.step_time(p, w, placement, imbalance, bandwidths) == total
+        speed = model.speed(p, w, placement, imbalance, bandwidths)
+        assert speed == (w / total if model.mode == MODE_ASYNC else 1.0 / total)
+
+    def test_validation_shared(self, sync_model):
+        for call in (sync_model.breakdown, sync_model.step_time, sync_model.speed):
+            with pytest.raises(ConfigurationError):
+                call(0, 4)
+            with pytest.raises(ConfigurationError):
+                call(2, 4, imbalance=0.5)
